@@ -12,22 +12,15 @@ near-miss integers.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+import sys
 
 from fusionwitt import classifier, cli, corpus, fpdim
 
 
-@dataclass
-class CertifyConfig:
-    tolerance: float = 1e-12
-    names: tuple[str, ...] = ()
-
-
-def run(config: CertifyConfig) -> None:
-    names = config.names or tuple(corpus.names(".fr"))
-    for name in names:
+def run(args: argparse.Namespace) -> None:
+    for name in args.names or corpus.names(".fr"):
         ring = cli.parse_ring_file(corpus.path(name))
-        data = fpdim.fp_dim_data(ring, tolerance=config.tolerance)
+        data = fpdim.fp_dim_data(ring, tolerance=args.tolerance)
         print(f"=== {name} (rank {ring.rank}) ===")
         for label, dim, cert in zip(ring.labels, data.dims, data.exact_square):
             mark = f"d^2 = {cert}" if cert is not None else "no certificate"
@@ -42,13 +35,13 @@ def run(config: CertifyConfig) -> None:
         print()
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tolerance", type=float, default=1e-12)
     parser.add_argument("names", nargs="*", help="corpus ring files, e.g. ising.fr (default: all)")
-    args = parser.parse_args()
-    run(CertifyConfig(tolerance=args.tolerance, names=tuple(args.names)))
+    run(parser.parse_args(argv))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

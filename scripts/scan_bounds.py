@@ -13,19 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from fusionwitt import classifier
 
-
-@dataclass
-class ScanConfig:
-    bounds: tuple[tuple[int, bool], ...] = ((1800, False), (33075, True))
-    oracle_limit: int = 100_000
+# (limit, odd dimensions only) of the two standard scans
+BOUNDS = ((1800, False), (33075, True))
 
 
-def run_scans(config: ScanConfig) -> None:
-    for limit, odd_only in config.bounds:
+def run_scans() -> None:
+    for limit, odd_only in BOUNDS:
         start = time.perf_counter()
         report = classifier.scan_exceptions(limit, odd_only=odd_only)
         elapsed = time.perf_counter() - start
@@ -41,16 +37,16 @@ def run_scans(config: ScanConfig) -> None:
         print()
 
 
-def run_oracle(config: ScanConfig) -> bool:
+def run_oracle(oracle_limit: int) -> bool:
     start = time.perf_counter()
     bad = []
-    for n in range(1, config.oracle_limit + 1):
+    for n in range(1, oracle_limit + 1):
         fast = classifier.factor_paqbc(n) is not None
         slow = classifier.factorizes_oracle(n)
         if fast != slow:
             bad.append(n)
     elapsed = time.perf_counter() - start
-    print(f"=== oracle agreement up to {config.oracle_limit}, {elapsed:.2f}s ===")
+    print(f"=== oracle agreement up to {oracle_limit}, {elapsed:.2f}s ===")
     if bad:
         print(f"  DISAGREEMENTS at {bad[:20]}{' ...' if len(bad) > 20 else ''}")
         return False
@@ -58,16 +54,13 @@ def run_oracle(config: ScanConfig) -> bool:
     return True
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--oracle-limit", type=int, default=100_000)
     parser.add_argument("--skip-oracle", action="store_true")
-    args = parser.parse_args()
-    config = ScanConfig(oracle_limit=args.oracle_limit)
-    run_scans(config)
-    ok = True
-    if not args.skip_oracle:
-        ok = run_oracle(config)
+    args = parser.parse_args(argv)
+    run_scans()
+    ok = args.skip_oracle or run_oracle(args.oracle_limit)
     return 0 if ok else 1
 
 

@@ -12,50 +12,30 @@ table.  With the bundled corpus the 2-part closes to Z2 x Z8 and the
 from __future__ import annotations
 
 import argparse
+import sys
 import time
-from dataclasses import dataclass, field
 
 from fusionwitt import cli, corpus, witt
 from fusionwitt.arith import factorize
 from fusionwitt.metric_group import metric_group
 
 
-@dataclass
-class TableConfig:
-    primes: tuple[int, ...] = (2, 3, 5)
-    max_order: int = 16
-    closure_cap: int | None = None
-    show_table: bool = True
-    extra_files: tuple[str, ...] = field(default_factory=tuple)
-
-
-def corpus_generators(config: TableConfig, p: int):
+def corpus_generators(args: argparse.Namespace, p: int):
     found = []
-    names = list(corpus.names(".mg")) + list(config.extra_files)
-    for name in names:
-        path = name if name in config.extra_files else corpus.path(name)
+    for name in corpus.names(".mg") + args.extra:
+        path = name if name in args.extra else corpus.path(name)
         orders, diag, cross = cli.parse_metric_file(path)
         mg = metric_group(orders, diag, cross)
-        if not mg.nondegenerate or mg.size > config.max_order:
+        if not mg.nondegenerate or mg.size > args.max_order:
             continue
         if set(factorize(mg.size)) == {p}:
             found.append((name, mg))
     return found
 
 
-def describe(cls: witt.PointedWittClass) -> str:
-    if cls.is_identity():
-        return "identity"
-    bits = []
-    for p, rep in cls.parts:
-        qs = ", ".join(str(v) for v in rep.form.diag)
-        bits.append(f"orders {rep.orders} with q = ({qs})")
-    return "; ".join(bits)
-
-
-def run(config: TableConfig) -> None:
-    for p in config.primes:
-        gens = corpus_generators(config, p)
+def run(args: argparse.Namespace) -> None:
+    for p in args.primes:
+        gens = corpus_generators(args, p)
         print(f"=== p = {p}: {len(gens)} generators ===")
         for name, mg in gens:
             print(f"  {name}: orders {mg.orders}")
@@ -64,20 +44,20 @@ def run(config: TableConfig) -> None:
             continue
         start = time.perf_counter()
         classes = [witt.pointed_witt_class(mg) for _, mg in gens]
-        subgroup = witt.generated_subgroup(classes, cap=config.closure_cap)
+        subgroup = witt.generated_subgroup(classes, cap=args.closure_cap)
         elapsed = time.perf_counter() - start
         print(f"  subgroup order {subgroup.order}, invariant factors {subgroup.invariant_factors},"
               f" group {subgroup.name()}  ({elapsed:.2f}s)")
         for i, cls in enumerate(subgroup.elements):
-            print(f"  [{i:2d}] {describe(cls)}")
-        if config.show_table:
+            print(f"  [{i:2d}] {cli.describe_class(cls)}")
+        if not args.no_table:
             print("  product table:")
             for row in subgroup.table:
                 print("   ", " ".join(f"{x:2d}" for x in row))
         print()
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
     parser.add_argument("--max-order", type=int, default=16,
@@ -86,15 +66,9 @@ def main() -> None:
     parser.add_argument("--no-table", action="store_true")
     parser.add_argument("--extra", nargs="*", default=[],
                         help="additional metric group files to include as generators")
-    args = parser.parse_args()
-    run(TableConfig(
-        primes=tuple(args.primes),
-        max_order=args.max_order,
-        closure_cap=args.closure_cap,
-        show_table=not args.no_table,
-        extra_files=tuple(args.extra),
-    ))
+    run(parser.parse_args(argv))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

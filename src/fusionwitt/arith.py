@@ -155,6 +155,26 @@ def invariants_from_element_orders(orders: list[int]) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
+def cayley_invariants(table, identity: int) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian group from its Cayley table,
+    where table[a][b] is the index of a * b and identity is the index of
+    the identity.
+
+    >>> cayley_invariants([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
+    (3,)
+    >>> cayley_invariants([[1, 0], [0, 1]], 1)
+    (2,)
+    """
+    orders = []
+    for a in range(len(table)):
+        n, acc = 1, a
+        while acc != identity:
+            acc = table[acc][a]
+            n += 1
+        orders.append(n)
+    return invariants_from_element_orders(orders)
+
+
 def group_name(invariant_factors: tuple[int, ...]) -> str:
     """Readable name 'Z2 x Z4' for an invariant-factor tuple, 'trivial' for ()."""
     if not invariant_factors:

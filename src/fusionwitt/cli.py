@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classifier, fpdim, fusion_ring, metric_group, witt
-from .errors import FusionWittError, ValidationError
+from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
+from .errors import CertificationError, FusionWittError, ValidationError
 
 
 class FileFormatError(FusionWittError):
@@ -262,11 +263,16 @@ def _sniff_kind(path: str) -> str:
 
 
 def _load_metric(path: str, cap: int | None) -> metric_group.MetricGroup:
+    """A nondegenerate metric group from a file; the Witt verbs refuse
+    degenerate forms."""
     orders, diag, cross = parse_metric_file(path)
-    return metric_group.metric_group(orders, diag, cross, cap=cap)
+    mg = metric_group.metric_group(orders, diag, cross, cap=cap)
+    if not mg.nondegenerate:
+        raise FusionWittError(f"{path}: degenerate form; Witt classes need nondegenerate forms")
+    return mg
 
 
-def _describe_class(c: witt.PointedWittClass) -> str:
+def describe_class(c: witt.PointedWittClass) -> str:
     if c.is_identity():
         return "identity"
     bits = []
@@ -377,7 +383,7 @@ def _cmd_analyze(args) -> int:
     if data.weakly_integral:
         try:
             pp = fpdim.simple_dims_prime_power(data)
-        except Exception:
+        except (CertificationError, ValueError):  # ValueError: a square above arith.FACTOR_LIMIT
             pp = None
     else:
         pp = None
@@ -424,9 +430,6 @@ def _put_witness(report: Report, verdict: classifier.DimensionVerdict) -> None:
 
 def _cmd_witt_class(args) -> int:
     mg = _load_metric(args.file, args.element_cap)
-    if not mg.nondegenerate:
-        print("metric group is degenerate; Witt classes need nondegenerate forms", file=sys.stderr)
-        return 1
     report = Report(title=f"witt-class {args.file}")
     report.put("order", mg.size)
     gs = metric_group.gauss_sum(mg, cap=args.element_cap)
@@ -468,7 +471,7 @@ def _cmd_witt_class(args) -> int:
         report.put(f"part_{p}_anisotropic_q", tuple(rep.form.diag))
         report.put(f"part_{p}_argument", rep_gs.argument)
     cls = witt.PointedWittClass(parts=tuple(final_parts))
-    report.add("class", [_describe_class(cls)])
+    report.add("class", [describe_class(cls)])
     report.put("class_identity", cls.is_identity())
     print(report.render(args.format), end="")
     return 0
@@ -476,13 +479,10 @@ def _cmd_witt_class(args) -> int:
 
 def _cmd_witt_order(args) -> int:
     mg = _load_metric(args.file, args.element_cap)
-    if not mg.nondegenerate:
-        print("metric group is degenerate; Witt classes need nondegenerate forms", file=sys.stderr)
-        return 1
     cls = witt.pointed_witt_class(mg, cap=args.element_cap)
     order = witt.class_order(cls, cap=args.order_cap)
     report = Report(title=f"witt-order {args.file}")
-    report.add("class", [_describe_class(cls)])
+    report.add("class", [describe_class(cls)])
     report.add("order", [str(order)])
     report.put("class_identity", cls.is_identity())
     report.put("witt_order", order)
@@ -494,9 +494,6 @@ def _cmd_witt_subgroup(args) -> int:
     classes = []
     for path in args.files:
         mg = _load_metric(path, args.element_cap)
-        if not mg.nondegenerate:
-            print(f"{path}: degenerate form; Witt classes need nondegenerate forms", file=sys.stderr)
-            return 1
         classes.append(witt.pointed_witt_class(mg, cap=args.element_cap))
     sub = witt.generated_subgroup(classes, cap=args.closure_cap, element_budget=args.element_cap)
     report = Report(title="witt-subgroup " + " ".join(args.files))
@@ -506,8 +503,8 @@ def _cmd_witt_subgroup(args) -> int:
     report.put("group", sub.name())
     lines = [f"order {sub.order}, invariant factors ({','.join(str(d) for d in sub.invariant_factors)}), group {sub.name()}"]
     for i, e in enumerate(sub.elements):
-        lines.append(f"[{i}] {_describe_class(e)}")
-        report.put(f"element_{i}", _describe_class(e))
+        lines.append(f"[{i}] {describe_class(e)}")
+        report.put(f"element_{i}", describe_class(e))
     report.add("subgroup", lines)
     table_lines = [" ".join(str(x) for x in row) for row in sub.table]
     report.add("table", table_lines)
@@ -573,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tolerance=False):
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--element-cap", type=int, default=None, help="max group elements to enumerate")
+        p.add_argument(ELEMENT_CAP.flag, type=int, default=None, help="max group elements to enumerate")
         if tolerance:
             p.add_argument("--tolerance", type=float, default=1e-12)
 
@@ -595,13 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witt-order", help="order of the Witt class of a metric group")
     p.add_argument("file")
-    p.add_argument("--order-cap", type=int, default=None)
+    p.add_argument(ORDER_CAP.flag, type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_witt_order)
 
     p = sub.add_parser("witt-subgroup", help="subgroup generated by the Witt classes of metric groups")
     p.add_argument("files", nargs="+")
-    p.add_argument("--closure-cap", type=int, default=None)
+    p.add_argument(CLOSURE_CAP.flag, type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_witt_subgroup)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .arith import group_name, invariants_from_element_orders
+from .arith import cayley_invariants, group_name
 from .errors import ConsistencyError, ValidationError
 
 
@@ -109,7 +109,7 @@ def validate_ring(ring: FusionRing) -> list[Violation]:
         return [Violation("shape", (), f"coefficient table is not {r}x{r}x{r}")]
     for i, j, k in product(range(r), repeat=3):
         v = ring.coeff[i][j][k]
-        if not isinstance(v, int) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             out.append(Violation("integrality", (i, j, k), f"coefficient {v!r} is not a nonnegative integer"))
     if out:
         return out
@@ -163,18 +163,9 @@ class InvertibleGroup:
     def order(self) -> int:
         return len(self.members)
 
-    def element_orders(self) -> list[int]:
-        out = []
-        for g in self.members:
-            k, acc = 1, g
-            while acc != 0:
-                acc = self.multiply(acc, g)
-                k += 1
-            out.append(k)
-        return out
-
     def invariant_factors(self) -> tuple[int, ...]:
-        return invariants_from_element_orders(self.element_orders())
+        position = self.members.index
+        return cayley_invariants([[position(g) for g in row] for row in self.table], position(0))
 
     def name(self) -> str:
         return group_name(self.invariant_factors())
@@ -265,19 +256,12 @@ def subring_generated(ring: FusionRing, seed) -> tuple[int, ...]:
         members |= new
 
 
-def adjoint_subring(ring: FusionRing) -> tuple[int, ...]:
-    """Subring generated by all constituents of X X* over every basis X."""
+def adjoint_subring(ring: FusionRing, members: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Subring generated by all constituents of X X* over every basis X,
+    or over the basis X of the subring members when given; that closure
+    stays inside members because members is itself closed."""
     seed = set()
-    for x in range(ring.rank):
-        seed.update(ring.constituents(x, ring.dual[x]))
-    return subring_generated(ring, seed)
-
-
-def _adjoint_within(ring: FusionRing, members: tuple[int, ...]) -> tuple[int, ...]:
-    # adjoint of a subring computed inside the ambient ring; closure
-    # stays inside members because members is itself closed
-    seed = set()
-    for x in members:
+    for x in range(ring.rank) if members is None else members:
         seed.update(ring.constituents(x, ring.dual[x]))
     return subring_generated(ring, seed)
 
@@ -349,19 +333,11 @@ def universal_grading(ring: FusionRing) -> GradingData:
             raise ConsistencyError("block table is not abelian")
     if any(table[neutral][b] != b for b in range(len(components))):
         raise ConsistencyError("neutral block does not act as identity")
-    orders = []
-    for a in range(len(components)):
-        k, acc = 1, a
-        while acc != neutral:
-            acc = table[acc][a]
-            k += 1
-        orders.append(k)
-    name = group_name(invariants_from_element_orders(orders))
     return GradingData(
         components=components,
         neutral=neutral,
         table=tuple(tuple(row) for row in table),
-        group_name=name,
+        group_name=group_name(cayley_invariants(table, neutral)),
     )
 
 
@@ -389,7 +365,7 @@ def nilpotency(ring: FusionRing, max_depth: int = 64) -> NilpotencyData:
     """
     tower = [tuple(range(ring.rank))]
     for _ in range(max_depth):
-        nxt = _adjoint_within(ring, tower[-1])
+        nxt = adjoint_subring(ring, tower[-1])
         if nxt == tower[-1]:
             break
         tower.append(nxt)

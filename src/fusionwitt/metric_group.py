@@ -9,25 +9,16 @@ by exhaustive radical enumeration and recorded on the object.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
 from .arith import factorize
+from .caps import ELEMENT_CAP
 from .cyclotomic import CycInt
-from .errors import CapExceededError, ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .fusion_ring import Violation
-
-DEFAULT_ELEMENT_CAP = 2**16
-
-
-def element_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("FUSIONWITT_ELEMENT_CAP")
-    return int(env) if env else DEFAULT_ELEMENT_CAP
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ def metric_group(orders, diag, cross=(), cap: int | None = None) -> MetricGroup:
         cross=_cross_matrix(len(orders), cross),
     )
     mg = MetricGroup(group=group, form=form, nondegenerate=True)
-    nondeg = _radical_trivial(mg, element_cap(cap))
+    nondeg = not any(any(x) for x in _radical_scan(mg, cap))
     return MetricGroup(group=group, form=form, nondegenerate=nondeg)
 
 
@@ -197,25 +188,19 @@ def _gen_pairing(mg: MetricGroup, x, i: int) -> Fraction:
     return total % 1
 
 
-def _radical_trivial(mg: MetricGroup, cap: int) -> bool:
-    if mg.size > cap:
-        raise CapExceededError(f"group of order {mg.size} exceeds the element cap {cap}")
+def _radical_scan(mg: MetricGroup, cap: int | None):
+    """Lazily yield the radical in element order, zero first, so the
+    nondegeneracy check stops at the first nonzero radical element."""
+    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
     k = len(mg.orders)
     for x in mg.group.elements():
-        if any(x) and all(_gen_pairing(mg, x, i) == 0 for i in range(k)):
-            return False
-    return True
+        if all(_gen_pairing(mg, x, i) == 0 for i in range(k)):
+            yield x
 
 
 def radical(mg: MetricGroup, cap: int | None = None) -> list[tuple[int, ...]]:
     """All x with b(x, -) identically zero; [zero] iff nondegenerate."""
-    cap = element_cap(cap)
-    if mg.size > cap:
-        raise CapExceededError(f"group of order {mg.size} exceeds the element cap {cap}")
-    k = len(mg.orders)
-    return [
-        x for x in mg.group.elements() if all(_gen_pairing(mg, x, i) == 0 for i in range(k))
-    ]
+    return list(_radical_scan(mg, cap))
 
 
 # -------------------------------------------------------------- gauss sums
@@ -246,9 +231,7 @@ def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
     For a nondegenerate form the Milgram relation |G|^2 = |A| and
     argument in (1/8)Z is enforced as a postcondition.
     """
-    cap = element_cap(cap)
-    if mg.size > cap:
-        raise CapExceededError(f"group of order {mg.size} exceeds the element cap {cap}")
+    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
     denoms = [v.denominator for v in mg.form.diag]
     denoms += [v.denominator for row in mg.form.cross for v in row]
     level = lcm(8, *denoms) if denoms else 8

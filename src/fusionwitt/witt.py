@@ -12,16 +12,15 @@ sufficient but not necessary for equality of the underlying classes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import group_name, invariants_from_element_orders
-from .errors import CapExceededError, ConsistencyError
+from .arith import cayley_invariants, group_name
+from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
+from .errors import ConsistencyError
 from .metric_group import (
     MetricGroup,
     direct_sum,
-    element_cap,
     gauss_sum,
     inverse_form,
     metric_group,
@@ -30,29 +29,10 @@ from .metric_group import (
 )
 from .snf import integer_kernel
 
-DEFAULT_ORDER_CAP = 32
-DEFAULT_CLOSURE_CAP = 256
-
-
-def order_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("FUSIONWITT_ORDER_CAP")
-    return int(env) if env else DEFAULT_ORDER_CAP
-
-
-def closure_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("FUSIONWITT_CLOSURE_CAP")
-    return int(env) if env else DEFAULT_CLOSURE_CAP
-
 
 def isotropic_elements(mg: MetricGroup, cap: int | None = None) -> list[tuple[int, ...]]:
     """Nonzero x with q(x) = 0, in lexicographic order."""
-    cap = element_cap(cap)
-    if mg.size > cap:
-        raise CapExceededError(f"group of order {mg.size} exceeds the element cap {cap}")
+    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
     return [x for x in mg.group.elements() if any(x) and mg.q(x) == 0]
 
 
@@ -268,13 +248,12 @@ def class_inverse(c: PointedWittClass, cap: int | None = None) -> PointedWittCla
 
 def class_order(c: PointedWittClass, cap: int | None = None) -> int:
     """Smallest n >= 1 with c**n the identity class."""
-    limit = order_cap(cap)
-    acc = c
-    for n in range(1, limit + 1):
-        if acc.is_identity():
-            return n
+    n, acc = 1, c
+    while not acc.is_identity():
+        n += 1
+        ORDER_CAP.check(n, "class order", cap)
         acc = class_multiply(acc, c)
-    raise CapExceededError(f"class order exceeds the cap {limit}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -302,7 +281,6 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
     presentations of one class occupy one slot.  Raises CapExceededError
     when the closure grows past the cap.
     """
-    limit = closure_cap(cap)
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
 
     def index_of(c: PointedWittClass) -> int | None:
@@ -311,37 +289,25 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
                 return i
         return None
 
+    def admit(c: PointedWittClass) -> bool:
+        if index_of(c) is not None:
+            return False
+        elements.append(c)
+        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes", cap)
+        return True
+
     for g in generators:
-        if index_of(g) is None:
-            elements.append(g)
-            if len(elements) > limit:
-                raise CapExceededError(f"closure exceeds the cap {limit}")
+        admit(g)
     changed = True
     while changed:
         changed = False
         for i in range(len(elements)):
             for j in range(len(elements)):
-                prod_c = class_multiply(elements[i], elements[j], cap=element_budget)
-                if index_of(prod_c) is None:
-                    elements.append(prod_c)
-                    if len(elements) > limit:
-                        raise CapExceededError(f"closure exceeds the cap {limit}")
-                    changed = True
+                changed |= admit(class_multiply(elements[i], elements[j], cap=element_budget))
     table = tuple(
         tuple(index_of(class_multiply(a, b, cap=element_budget)) for b in elements) for a in elements
     )
-    orders = []
-    for i in range(len(elements)):
-        n, acc = 1, i
-        while acc != 0:
-            acc = table[acc][i]
-            n += 1
-        orders.append(n)
-    return WittSubgroup(
-        elements=tuple(elements),
-        table=table,
-        invariant_factors=invariants_from_element_orders(orders),
-    )
+    return WittSubgroup(elements=tuple(elements), table=table, invariant_factors=cayley_invariants(table, 0))
 
 
 # ------------------------------------------------------------------- words
@@ -396,10 +362,9 @@ def word_is_identity(w: WittWord) -> bool:
 
 def word_order(w: WittWord, cap: int | None = None) -> int:
     """Smallest n >= 1 with w**n the identity word."""
-    limit = order_cap(cap)
-    acc = w
-    for n in range(1, limit + 1):
-        if word_is_identity(acc):
-            return n
+    n, acc = 1, w
+    while not word_is_identity(acc):
+        n += 1
+        ORDER_CAP.check(n, "word order", cap)
         acc = word_compose(acc, w)
-    raise CapExceededError(f"word order exceeds the cap {limit}")
+    return n

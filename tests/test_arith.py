@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusionwitt.arith import (
+    cayley_invariants,
     divisors,
     factorize,
     factorize_with_sieve,
@@ -79,13 +80,29 @@ def order_multiset(invariants):
     return orders
 
 
-@pytest.mark.parametrize(
-    "invariants",
-    [(), (2,), (3,), (2, 2), (2, 4), (6,), (2, 6), (12,), (2, 2, 2), (3, 9), (2, 4, 8)],
-)
+INVARIANTS = [(), (2,), (3,), (2, 2), (2, 4), (6,), (2, 6), (12,), (2, 2, 2), (3, 9), (2, 4, 8)]
+
+
+@pytest.mark.parametrize("invariants", INVARIANTS)
 def test_invariants_round_trip(invariants):
     orders = order_multiset(invariants) if invariants else [1]
     assert invariants_from_element_orders(orders) == tuple(invariants)
+
+
+@pytest.mark.parametrize("invariants", INVARIANTS)
+def test_cayley_invariants_under_relabelling(invariants):
+    """Cayley table of Z_{d_1} x ... x Z_{d_k} with shuffled indices, so
+    the identity sits at an arbitrary index."""
+    import random
+    from itertools import product
+
+    elements = list(product(*(range(d) for d in invariants)))
+    random.Random(len(elements)).shuffle(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    table = [
+        [index[tuple((a + b) % d for a, b, d in zip(x, y, invariants))] for y in elements] for x in elements
+    ]
+    assert cayley_invariants(table, index[(0,) * len(invariants)]) == tuple(invariants)
 
 
 def test_invariants_rejects_empty():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fusionwitt import cli, corpus
+from fusionwitt import cli, corpus, fpdim
 from fusionwitt.cli import (
     FileFormatError,
     fmt_value,
@@ -207,6 +207,45 @@ def test_witt_class_of_degenerate_exits_one(capsys):
     code, _, err = run_cli(capsys, "witt-class", corpus.path("z2_fermion_degenerate.mg"))
     assert code == 1
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("verb", ["witt-class", "witt-order", "witt-subgroup"])
+def test_witt_verbs_refuse_degenerate_forms_naming_the_file(capsys, verb):
+    path = corpus.path("z2_fermion_degenerate.mg")
+    code, out, err = run_cli(capsys, verb, path)
+    assert code == 1
+    assert out == ""
+    assert err == f"{path}: degenerate form; Witt classes need nondegenerate forms\n"
+
+
+@pytest.mark.parametrize(
+    "env,flag,argv",
+    [
+        ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-class", "z8_sixteenth.mg"]),
+        ("FUSIONWITT_ORDER_CAP", "--order-cap", ["witt-order", "semion.mg"]),
+        ("FUSIONWITT_CLOSURE_CAP", "--closure-cap", ["witt-subgroup", "z3_third.mg"]),
+    ],
+)
+def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv):
+    # each job counts more than 3 and at most 8: |A| = 8, class order 8, 4 classes
+    argv = [argv[0]] + [corpus.path(name) for name in argv[1:]]
+    code, _, err = run_cli(capsys, *argv, flag, "3")
+    assert code == 1
+    assert f"cap 3; raise it with {env} or {flag}" in err
+    monkeypatch.setenv(env, "3")
+    code, _, env_err = run_cli(capsys, *argv)
+    assert (code, env_err) == (1, err)
+    code, _, _ = run_cli(capsys, *argv, flag, "8")
+    assert code == 0
+
+
+def test_analyze_lets_unrelated_errors_through(capsys, monkeypatch):
+    def broken(data):
+        raise RuntimeError("not a certification problem")
+
+    monkeypatch.setattr(fpdim, "simple_dims_prime_power", broken)
+    with pytest.raises(RuntimeError):
+        main(["analyze", corpus.path("ising.fr")])
 
 
 def test_witt_order_machine(capsys):

@@ -77,6 +77,13 @@ def test_negative_coefficient(ising_ring):
     assert violation_kinds(mutate(ising_ring, 2, 2, 1, -1)) == ["integrality"]
 
 
+def test_bool_coefficient_is_not_an_integer():
+    # bool is a subclass of int, so True would otherwise pass as 1
+    with pytest.raises(ValidationError) as err:
+        make_ring(["1"], [0], [[[True]]])
+    assert [v.kind for v in err.value.violations] == ["integrality"]
+
+
 def test_broken_unit_row(ising_ring):
     assert "unit" in violation_kinds(mutate(ising_ring, 0, 1, 1, 0))
 
@@ -181,6 +188,7 @@ def test_adjoint_subring(ising_ring, rep_s3_ring, fibonacci_ring):
     assert adjoint_subring(rep_s3_ring) == (0, 1, 2)
     assert adjoint_subring(fibonacci_ring) == (0, 1)
     assert adjoint_subring(pointed_ring((4,))) == (0,)
+    assert adjoint_subring(ising_ring, (0, 1)) == (0,)
 
 
 # -------------------------------------------------------------- grading
