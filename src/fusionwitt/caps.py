@@ -2,9 +2,10 @@
 
 Each cap resolves in one order: the explicit value a caller passes (the
 CLI passes its flag), else the cap's environment variable, else its
-default.  Going over a cap raises CapExceededError with one message
-format that names the cap, its limit, its environment variable and its
-CLI flag.
+default.  A cap is a positive integer; a variable set to anything else
+is refused with a message naming it.  Going over a cap raises
+CapExceededError with one message format that names the cap, its limit,
+its environment variable and its CLI flag.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, FusionWittError
+
+
+def positive_int(text: str) -> int:
+    """text as a cap value; ValueError unless it is an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is below 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,13 @@ class Cap:
     def check(self, size: int, subject: str, value: int | None = None) -> None:
         """Refuse when size is over the resolved limit; subject names what
         was counted, e.g. 'group of order 70000'."""
-        limit = value if value is not None else int(os.environ.get(self.env) or self.default)
+        limit = value
+        if limit is None:
+            raw = os.environ.get(self.env)
+            try:
+                limit = positive_int(raw) if raw else self.default
+            except ValueError:
+                raise FusionWittError(f"{self.env} must be a positive integer, not {raw!r}") from None
         if size > limit:
             raise CapExceededError(
                 f"{subject} exceeds the {self.name} {limit}; raise it with {self.env} or {self.flag}"

@@ -1,22 +1,21 @@
 """Command-line interface and the text file formats.
 
 Verbs: validate, analyze, witt-class, witt-order, witt-subgroup,
-classify, scan.  Reports come in two flavors selected by --format:
-human-readable labeled text, or machine key=value lines that parse back
-with parse_machine.  Identical inputs and options produce byte-identical
-output.  Exit status: 0 success, 1 validation or computation failure,
-2 usage errors including malformed input files.
+classify, scan.  Each verb returns one Report, and --format selects how
+main renders it: human-readable labeled text, or machine key=value lines
+that parse back with parse_machine.  Identical inputs and options
+produce byte-identical output.  Exit status: 0 success, 1 validation or
+computation failure, 2 usage errors including malformed input files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classifier, fpdim, fusion_ring, metric_group, witt
-from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
+from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP, positive_int
 from .errors import CertificationError, FusionWittError, ValidationError
 
 
@@ -27,11 +26,25 @@ class FileFormatError(FusionWittError):
 # ------------------------------------------------------------ file formats
 
 
-def _meaningful_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The (line number, text) pairs of a file that carry content; '#'
+    starts a comment, and blank lines are dropped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise FileFormatError(f"{path}: {err.strerror or err}") from err
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
+
+
+def _convert(kind, words, error: str) -> list:
+    """Each word converted by kind; a FileFormatError with the given
+    message when one does not convert."""
+    try:
+        return [kind(w) for w in words]
+    except (ValueError, ZeroDivisionError):
+        raise FileFormatError(error) from None
 
 
 def parse_ring_file(path: str) -> fusion_ring.FusionRing:
@@ -41,12 +54,7 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
     (a 0-based permutation), then one 'N i j k m' line per nonzero
     coefficient; omitted triples are zero, '#' starts a comment.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise FileFormatError(f"{path}: {err.strerror or err}") from err
-    lines = list(_meaningful_lines(text))
+    lines = _read_lines(path)
     if len(lines) < 3:
         raise FileFormatError(f"{path}: expected rank, labels and dual lines")
     (ln_rank, rank_line), (ln_lab, label_line), (ln_dual, dual_line) = lines[:3]
@@ -63,10 +71,7 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
     parts = dual_line.split()
     if parts[:1] != ["dual"] or len(parts) != rank + 1:
         raise FileFormatError(f"{path}:{ln_dual}: expected 'dual' with {rank} indices")
-    try:
-        dual = [int(x) for x in parts[1:]]
-    except ValueError:
-        raise FileFormatError(f"{path}:{ln_dual}: dual indices must be integers") from None
+    dual = _convert(int, parts[1:], f"{path}:{ln_dual}: dual indices must be integers")
     if any(not 0 <= d < rank for d in dual):
         raise FileFormatError(f"{path}:{ln_dual}: dual index out of range")
     coeff = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
@@ -75,10 +80,7 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
         parts = line.split()
         if parts[:1] != ["N"] or len(parts) != 5:
             raise FileFormatError(f"{path}:{lineno}: expected 'N i j k m'")
-        try:
-            i, j, k, m = (int(x) for x in parts[1:])
-        except ValueError:
-            raise FileFormatError(f"{path}:{lineno}: indices and multiplicity must be integers") from None
+        i, j, k, m = _convert(int, parts[1:], f"{path}:{lineno}: indices and multiplicity must be integers")
         if not all(0 <= t < rank for t in (i, j, k)):
             raise FileFormatError(f"{path}:{lineno}: index out of range for rank {rank}")
         if (i, j, k) in seen:
@@ -113,40 +115,27 @@ def parse_metric_file(path: str) -> tuple[tuple[int, ...], list[Fraction], dict]
     Format: 'orders d1 ... dk', 'q v1 ... vk' with exact fractions, and
     optional 'b i j v' cross terms with 1-based i < j.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise FileFormatError(f"{path}: {err.strerror or err}") from err
-    lines = list(_meaningful_lines(text))
+    lines = _read_lines(path)
     if len(lines) < 2:
         raise FileFormatError(f"{path}: expected orders and q lines")
     (ln_ord, order_line), (ln_q, q_line) = lines[:2]
     parts = order_line.split()
     if parts[:1] != ["orders"]:
         raise FileFormatError(f"{path}:{ln_ord}: expected 'orders d1 ... dk'")
-    try:
-        orders = tuple(int(x) for x in parts[1:])
-    except ValueError:
-        raise FileFormatError(f"{path}:{ln_ord}: orders must be integers") from None
+    orders = tuple(_convert(int, parts[1:], f"{path}:{ln_ord}: orders must be integers"))
     k = len(orders)
     parts = q_line.split()
     if parts[:1] != ["q"] or len(parts) != k + 1:
         raise FileFormatError(f"{path}:{ln_q}: expected 'q' with {k} values")
-    try:
-        diag = [Fraction(x) for x in parts[1:]]
-    except (ValueError, ZeroDivisionError):
-        raise FileFormatError(f"{path}:{ln_q}: q values must be exact fractions") from None
+    diag = _convert(Fraction, parts[1:], f"{path}:{ln_q}: q values must be exact fractions")
     cross: dict[tuple[int, int], Fraction] = {}
     for lineno, line in lines[2:]:
         parts = line.split()
         if parts[:1] != ["b"] or len(parts) != 4:
             raise FileFormatError(f"{path}:{lineno}: expected 'b i j value'")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-            v = Fraction(parts[3])
-        except (ValueError, ZeroDivisionError):
-            raise FileFormatError(f"{path}:{lineno}: expected integer indices and a fraction") from None
+        error = f"{path}:{lineno}: expected integer indices and a fraction"
+        i, j = _convert(int, parts[1:3], error)
+        (v,) = _convert(Fraction, parts[3:], error)
         if not 1 <= i < j <= k:
             raise FileFormatError(f"{path}:{lineno}: cross indices must satisfy 1 <= i < j <= {k}")
         if (i - 1, j - 1) in cross:
@@ -185,29 +174,24 @@ def fmt_value(v) -> str:
 
 
 def parse_machine_value(s: str):
+    """A typed value that fmt_value renders back to exactly s: a tuple
+    for a comma list, then true, false or none, then an int, Fraction or
+    float, else s itself."""
     if s == "":
         return ()
     if "," in s:
         return tuple(parse_machine_value(p) for p in s.split(","))
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    if s == "none":
-        return None
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    if "/" in s:
+    for word in (True, False, None):
+        if s == fmt_value(word):
+            return word
+    for kind in (int, Fraction, float):
         try:
-            return Fraction(s)
+            value = kind(s)
         except (ValueError, ZeroDivisionError):
-            pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
+            continue
+        if fmt_value(value) == s:
+            return value
+    return s
 
 
 def parse_machine(text: str) -> dict[str, object]:
@@ -221,26 +205,37 @@ def parse_machine(text: str) -> dict[str, object]:
     return out
 
 
-@dataclass
 class Report:
-    title: str
-    sections: list[tuple[str, list[str]]] = field(default_factory=list)
-    machine: dict[str, object] = field(default_factory=dict)
+    """The record of one run, from which both formats render.
 
-    def add(self, heading: str, lines: list[str]) -> None:
-        self.sections.append((heading, lines))
+    facts are the machine key=value pairs in output order; sections are
+    the text report's (heading, lines).  Each fact is given once, with
+    the title, the section or the line that shows it.  status is the
+    exit status, and error a message main prints to stderr.
+    """
 
-    def put(self, key: str, value) -> None:
-        self.machine[key] = value
+    def __init__(self, title: str, **facts):
+        self.title = title
+        self.facts: dict[str, object] = facts
+        self.sections: list[tuple[str, list[str]]] = []
+        self.status = 0
+        self.error: str | None = None
+
+    def section(self, heading: str, lines=(), **facts) -> None:
+        self.sections.append((heading, list(lines)))
+        self.facts.update(facts)
+
+    def line(self, text: str, **facts) -> None:
+        """Add a line to the last section."""
+        self.sections[-1][1].append(text)
+        self.facts.update(facts)
 
     def render(self, fmt: str) -> str:
         if fmt == "machine":
-            return "".join(f"{k}={fmt_value(v)}\n" for k, v in self.machine.items())
+            return "".join(f"{k}={fmt_value(v)}\n" for k, v in self.facts.items())
         out = [self.title, "=" * len(self.title)]
         for heading, lines in self.sections:
-            out.append("")
-            out.append(heading)
-            out.extend("  " + line for line in lines)
+            out += ["", heading, *("  " + line for line in lines)]
         return "\n".join(out) + "\n"
 
 
@@ -248,17 +243,12 @@ class Report:
 
 
 def _sniff_kind(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise FileFormatError(f"{path}: {err.strerror or err}") from err
-    for _, line in _meaningful_lines(text):
-        if line.startswith("rank"):
-            return "ring"
-        if line.startswith("orders"):
-            return "metric"
-        break
+    lines = _read_lines(path)
+    first = lines[0][1] if lines else ""
+    if first.startswith("rank"):
+        return "ring"
+    if first.startswith("orders"):
+        return "metric"
     raise FileFormatError(f"{path}: cannot tell a ring file from a metric group file")
 
 
@@ -272,346 +262,245 @@ def _load_metric(path: str, cap: int | None) -> metric_group.MetricGroup:
     return mg
 
 
+def _form_text(mg: metric_group.MetricGroup) -> str:
+    return f"orders ({fmt_value(mg.orders)}) q ({' '.join(str(v) for v in mg.form.diag)})"
+
+
 def describe_class(c: witt.PointedWittClass) -> str:
     if c.is_identity():
         return "identity"
-    bits = []
-    for p, rep in c.parts:
-        qs = " ".join(str(v) for v in rep.form.diag)
-        bits.append(f"p={p} orders ({','.join(str(d) for d in rep.orders)}) q ({qs})")
-    return "; ".join(bits)
+    return "; ".join(f"p={p} {_form_text(rep)}" for p, rep in c.parts)
+
+
+def _violations(report: Report, violations, heading: str, listed: bool = False) -> None:
+    """The validity facts, and a section of the violations if there are
+    any.  listed (validate) also gives a zero count and each violation as
+    a violation_<i> fact; analyze gives the count only when nonzero."""
+    lines = [str(v) for v in violations]
+    report.facts["valid"] = not lines
+    if lines or listed:
+        report.facts["violation_count"] = len(lines)
+    if listed:
+        report.facts.update((f"violation_{i}", line) for i, line in enumerate(lines))
+    if lines:
+        report.section(heading, lines)
+
+
+def _verdict(report: Report, verdict: classifier.DimensionVerdict, head=(), witness_last=False, **facts) -> None:
+    """The verdict section analyze and classify share: the caller's head
+    lines and facts, then kind, witness and notes; analyze lists the
+    witness after the notes."""
+    w = verdict.witness
+    lines = [*head, f"kind: {verdict.kind.value}", f"notes: {verdict.notes}"]
+    if w is not None:
+        bits = [f"{p}^{e}" for p, e in ((w.p, w.a), (w.q, w.b)) if p is not None] + [str(w.c)]
+        lines.insert(len(lines) if witness_last else -1, f"witness: {w.n} = " + " * ".join(bits))
+    witness = {f"witness_{k}": None if w is None else getattr(w, k) for k in "paqbc"}
+    report.section("verdict", lines, **facts, verdict=verdict.kind.value, **witness, verdict_notes=verdict.notes)
+
+
+def _class_section(report: Report, cls: witt.PointedWittClass) -> None:
+    report.section("class", [describe_class(cls)], class_identity=cls.is_identity())
 
 
 # ------------------------------------------------------------------ verbs
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Report:
     kind = _sniff_kind(args.file)
-    report = Report(title=f"validate {args.file}")
-    report.put("kind", kind)
+    report = Report(f"validate {args.file}", kind=kind)
     if kind == "ring":
-        ring = parse_ring_file(args.file)
-        violations = fusion_ring.validate_ring(ring)
+        violations = fusion_ring.validate_ring(parse_ring_file(args.file))
     else:
         orders, diag, cross = parse_metric_file(args.file)
         violations = metric_group.validate_metric(orders, diag, cross)
-    report.put("valid", not violations)
-    report.put("violation_count", len(violations))
-    for i, v in enumerate(violations):
-        report.put(f"violation_{i}", str(v))
+    _violations(report, violations, "violations", listed=True)
     if violations:
-        report.add("violations", [str(v) for v in violations])
-    else:
-        report.add("result", ["valid"])
-        if kind == "metric":
-            mg = metric_group.metric_group(orders, diag, cross, cap=args.element_cap)
-            report.add("degeneracy", ["nondegenerate" if mg.nondegenerate else "degenerate"])
-            report.put("nondegenerate", mg.nondegenerate)
-    print(report.render(args.format), end="")
-    return 0 if not violations else 1
+        report.status = 1
+        return report
+    report.section("result", ["valid"])
+    if kind == "metric":
+        mg = metric_group.metric_group(orders, diag, cross, cap=args.element_cap)
+        degeneracy = "nondegenerate" if mg.nondegenerate else "degenerate"
+        report.section("degeneracy", [degeneracy], nondegenerate=mg.nondegenerate)
+    return report
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Report:
     ring = parse_ring_file(args.file)
     violations = fusion_ring.validate_ring(ring)
-    report = Report(title=f"analyze {args.file}")
-    report.put("rank", ring.rank)
-    report.put("valid", not violations)
+    report = Report(f"analyze {args.file}", rank=ring.rank)
+    _violations(report, violations, "violations (forced past)" if args.force else "violations")
     if violations and not args.force:
-        report.add("violations", [str(v) for v in violations])
-        report.put("violation_count", len(violations))
-        print(report.render(args.format), end="")
-        print("invalid ring; rerun with --force to analyze anyway", file=sys.stderr)
-        return 1
-    if violations:
-        report.add("violations (forced past)", [str(v) for v in violations])
-        report.put("violation_count", len(violations))
+        report.status, report.error = 1, "invalid ring; rerun with --force to analyze anyway"
+        return report
+
+    def braced(members) -> str:
+        return "{" + ", ".join(ring.labels[i] for i in members) + "}"
 
     data = fpdim.fp_dim_data(ring, tolerance=args.tolerance)
-    dim_lines = []
+    report.section("dimensions")
     for i, label in enumerate(ring.labels):
         cert = data.exact_square[i]
         tag = f"dim^2 = {cert} exactly" if cert is not None else "no integrality certificate"
-        dim_lines.append(f"{label}: dim = {data.dims[i]!r} ({tag})")
-        report.put(f"label_{i}", label)
-        report.put(f"dim_{i}", data.dims[i])
-        report.put(f"exact_square_{i}", cert)
-    dim_lines.append(f"total = {data.total!r}" + (f" = {data.total_exact} exactly" if data.total_exact is not None else ""))
-    dim_lines.append(f"integral: {fmt_value(data.integral)}   weakly integral: {fmt_value(data.weakly_integral)}")
-    report.add("dimensions", dim_lines)
-    report.put("total", data.total)
-    report.put("total_exact", data.total_exact)
-    report.put("integral", data.integral)
-    report.put("weakly_integral", data.weakly_integral)
+        facts = {f"label_{i}": label, f"dim_{i}": data.dims[i], f"exact_square_{i}": cert}
+        report.line(f"{label}: dim = {data.dims[i]!r} ({tag})", **facts)
+    exact = f" = {data.total_exact} exactly" if data.total_exact is not None else ""
+    report.line(f"total = {data.total!r}{exact}", total=data.total, total_exact=data.total_exact)
+    report.line(f"integral: {fmt_value(data.integral)}   weakly integral: {fmt_value(data.weakly_integral)}",
+                integral=data.integral, weakly_integral=data.weakly_integral)
 
     inv = fusion_ring.invertibles(ring)
-    inv_lines = [
-        f"members: {', '.join(ring.labels[g] for g in inv.members)}",
-        f"group: {inv.name()} (order {inv.order})",
-    ]
-    report.put("invertible_count", inv.order)
-    report.put("invertible_members", inv.members)
-    report.put("invertible_group", inv.name())
+    group = inv.name()
+    members = ", ".join(ring.labels[g] for g in inv.members)
+    report.section("invertibles and stabilizers", [f"members: {members}", f"group: {group} (order {inv.order})"],
+                   invertible_count=inv.order, invertible_members=inv.members, invertible_group=group)
     for x in range(ring.rank):
         stab = fusion_ring.stabilizer(ring, x, inv)
         fusion_ring.tensor_square_check(ring, x)
-        inv_lines.append(f"stabilizer of {ring.labels[x]}: {{{', '.join(ring.labels[g] for g in stab)}}}")
-        report.put(f"stabilizer_{x}", stab)
-    report.add("invertibles and stabilizers", inv_lines)
+        report.line(f"stabilizer of {ring.labels[x]}: {braced(stab)}", **{f"stabilizer_{x}": stab})
 
     grading = fusion_ring.universal_grading(ring)
     nil = fusion_ring.nilpotency(ring)
-    grade_lines = [
-        "components: " + " | ".join("{" + ", ".join(ring.labels[i] for i in comp) + "}" for comp in grading.components),
-        f"group: {grading.group_name} (order {len(grading.components)})",
-        "adjoint subring: {" + ", ".join(ring.labels[i] for i in grading.components[grading.neutral]) + "}",
-        "tower: " + " > ".join("{" + ", ".join(ring.labels[i] for i in level) + "}" for level in nil.tower),
-        f"nilpotent: {fmt_value(nil.nilpotent)} (depth {nil.depth})",
-    ]
-    report.add("grading and nilpotency", grade_lines)
-    report.put("grading_order", len(grading.components))
-    report.put("grading_group", grading.group_name)
-    for i, comp in enumerate(grading.components):
-        report.put(f"component_{i}", comp)
-    report.put("neutral_component", grading.neutral)
-    report.put("nilpotent", nil.nilpotent)
-    report.put("nilpotency_depth", nil.depth)
-    for i, level in enumerate(nil.tower):
-        report.put(f"tower_{i}", level)
-
-    verdict = classifier.verdict_ring(ring, data)
-    if data.weakly_integral:
-        try:
-            pp = fpdim.simple_dims_prime_power(data)
-        except (CertificationError, ValueError):  # ValueError: a square above arith.FACTOR_LIMIT
-            pp = None
-    else:
-        pp = None
-    if pp is None:
-        prime_desc = "none"
-    elif pp.pointed:
-        prime_desc = "pointed"
-    else:
-        prime_desc = str(pp.prime)
-    verdict_lines = [
-        f"simple dims prime power: {prime_desc}",
-        f"kind: {verdict.kind.value}",
-        f"notes: {verdict.notes}",
-    ]
-    report.put("prime_power", prime_desc)
-    report.put("verdict", verdict.kind.value)
-    _put_witness(report, verdict)
-    report.put("verdict_notes", verdict.notes)
-    if verdict.witness is not None:
-        verdict_lines.append(f"witness: {_describe_witness(verdict.witness)}")
-    report.add("verdict", verdict_lines)
-    print(report.render(args.format), end="")
-    return 0
-
-
-def _describe_witness(w: classifier.Factorization) -> str:
-    bits = []
-    if w.p is not None:
-        bits.append(f"{w.p}^{w.a}")
-    if w.q is not None:
-        bits.append(f"{w.q}^{w.b}")
-    bits.append(str(w.c))
-    return f"{w.n} = " + " * ".join(bits)
-
-
-def _put_witness(report: Report, verdict: classifier.DimensionVerdict) -> None:
-    w = verdict.witness
-    report.put("witness_p", None if w is None else w.p)
-    report.put("witness_a", None if w is None else w.a)
-    report.put("witness_q", None if w is None else w.q)
-    report.put("witness_b", None if w is None else w.b)
-    report.put("witness_c", None if w is None else w.c)
-
-
-def _cmd_witt_class(args) -> int:
-    mg = _load_metric(args.file, args.element_cap)
-    report = Report(title=f"witt-class {args.file}")
-    report.put("order", mg.size)
-    gs = metric_group.gauss_sum(mg, cap=args.element_cap)
-    report.put("gauss_magnitude_squared", gs.magnitude_squared)
-    report.put("gauss_argument", gs.argument)
-    report.add(
-        "input",
+    report.section(
+        "grading and nilpotency",
         [
-            f"orders: ({','.join(str(d) for d in mg.orders)})  |A| = {mg.size}",
-            f"gauss sum: |G|^2 = {gs.magnitude_squared}, argument = {gs.argument} of a turn",
+            "components: " + " | ".join(braced(comp) for comp in grading.components),
+            f"group: {grading.group_name} (order {len(grading.components)})",
+            "adjoint subring: " + braced(grading.components[grading.neutral]),
+            "tower: " + " > ".join(braced(level) for level in nil.tower),
+            f"nilpotent: {fmt_value(nil.nilpotent)} (depth {nil.depth})",
         ],
+        grading_order=len(grading.components), grading_group=grading.group_name,
+        **{f"component_{i}": comp for i, comp in enumerate(grading.components)}, neutral_component=grading.neutral,
+        nilpotent=nil.nilpotent, nilpotency_depth=nil.depth,
+        **{f"tower_{i}": level for i, level in enumerate(nil.tower)},
     )
+
+    try:
+        pp = fpdim.simple_dims_prime_power(data) if data.weakly_integral else None
+    except (CertificationError, ValueError):  # ValueError: a square above arith.FACTOR_LIMIT
+        pp = None
+    prime_desc = "none" if pp is None else "pointed" if pp.pointed else str(pp.prime)
+    verdict = classifier.verdict_ring(ring, data)
+    _verdict(report, verdict, [f"simple dims prime power: {prime_desc}"], witness_last=True, prime_power=prime_desc)
+    return report
+
+
+def _cmd_witt_class(args) -> Report:
+    mg = _load_metric(args.file, args.element_cap)
+    gs = metric_group.gauss_sum(mg, cap=args.element_cap)
     parts = sorted(metric_group.sylow_decompose(mg, cap=args.element_cap).items())
-    report.put("primes", tuple(p for p, _ in parts))
+    report = Report(f"witt-class {args.file}", order=mg.size, gauss_magnitude_squared=gs.magnitude_squared,
+                    gauss_argument=gs.argument, primes=tuple(p for p, _ in parts))
+    report.section("input", [f"orders: ({fmt_value(mg.orders)})  |A| = {mg.size}",
+                             f"gauss sum: |G|^2 = {gs.magnitude_squared}, argument = {gs.argument} of a turn"])
     final_parts = []
     for p, part in parts:
         rep, steps = witt.anisotropic_reduction(part, cap=args.element_cap)
-        part_gs = metric_group.gauss_sum(part, cap=args.element_cap)
-        rep_gs = metric_group.gauss_sum(rep, cap=args.element_cap)
-        lines = [f"part orders ({','.join(str(d) for d in part.orders)}), argument {part_gs.argument}"]
+        argument = metric_group.gauss_sum(part, cap=args.element_cap).argument
+        # each step records the argument of the group it produced, so the last is rep's
+        rep_argument = steps[-1].argument if steps else argument
+        report.section(f"prime {p}", [f"part orders ({fmt_value(part.orders)}), argument {argument}"],
+                       **{f"part_{p}_orders": part.orders, f"part_{p}_steps": len(steps)})
         for s in steps:
-            lines.append(
-                f"reduce by {s.chosen}: ({','.join(str(d) for d in s.orders_before)})"
-                f" -> ({','.join(str(d) for d in s.orders_after)}), argument {s.argument}"
-            )
+            report.line(f"reduce by {s.chosen}: ({fmt_value(s.orders_before)})"
+                        f" -> ({fmt_value(s.orders_after)}), argument {s.argument}")
         if rep.size > 1:
-            lines.append(
-                f"anisotropic: orders ({','.join(str(d) for d in rep.orders)})"
-                f" q ({' '.join(str(v) for v in rep.form.diag)})"
-            )
             final_parts.append((p, rep))
-        else:
-            lines.append("anisotropic: trivial")
-        lines.append(f"gauss argument preserved: {fmt_value(part_gs.argument == rep_gs.argument)}")
-        report.add(f"prime {p}", lines)
-        report.put(f"part_{p}_orders", part.orders)
-        report.put(f"part_{p}_steps", len(steps))
-        report.put(f"part_{p}_anisotropic_orders", rep.orders)
-        report.put(f"part_{p}_anisotropic_q", tuple(rep.form.diag))
-        report.put(f"part_{p}_argument", rep_gs.argument)
-    cls = witt.PointedWittClass(parts=tuple(final_parts))
-    report.add("class", [describe_class(cls)])
-    report.put("class_identity", cls.is_identity())
-    print(report.render(args.format), end="")
-    return 0
+        report.line(f"anisotropic: {_form_text(rep) if rep.size > 1 else 'trivial'}",
+                    **{f"part_{p}_anisotropic_orders": rep.orders, f"part_{p}_anisotropic_q": tuple(rep.form.diag)})
+        report.line(f"gauss argument preserved: {fmt_value(argument == rep_argument)}",
+                    **{f"part_{p}_argument": rep_argument})
+    _class_section(report, witt.PointedWittClass(parts=tuple(final_parts)))
+    return report
 
 
-def _cmd_witt_order(args) -> int:
+def _cmd_witt_order(args) -> Report:
     mg = _load_metric(args.file, args.element_cap)
     cls = witt.pointed_witt_class(mg, cap=args.element_cap)
     order = witt.class_order(cls, cap=args.order_cap)
-    report = Report(title=f"witt-order {args.file}")
-    report.add("class", [describe_class(cls)])
-    report.add("order", [str(order)])
-    report.put("class_identity", cls.is_identity())
-    report.put("witt_order", order)
-    print(report.render(args.format), end="")
-    return 0
+    report = Report(f"witt-order {args.file}")
+    _class_section(report, cls)
+    report.section("order", [str(order)], witt_order=order)
+    return report
 
 
-def _cmd_witt_subgroup(args) -> int:
-    classes = []
-    for path in args.files:
-        mg = _load_metric(path, args.element_cap)
-        classes.append(witt.pointed_witt_class(mg, cap=args.element_cap))
-    sub = witt.generated_subgroup(classes, cap=args.closure_cap, element_budget=args.element_cap)
-    report = Report(title="witt-subgroup " + " ".join(args.files))
-    report.put("generator_count", len(classes))
-    report.put("subgroup_order", sub.order)
-    report.put("invariant_factors", sub.invariant_factors)
-    report.put("group", sub.name())
-    lines = [f"order {sub.order}, invariant factors ({','.join(str(d) for d in sub.invariant_factors)}), group {sub.name()}"]
-    for i, e in enumerate(sub.elements):
-        lines.append(f"[{i}] {describe_class(e)}")
-        report.put(f"element_{i}", describe_class(e))
-    report.add("subgroup", lines)
-    table_lines = [" ".join(str(x) for x in row) for row in sub.table]
-    report.add("table", table_lines)
+def _cmd_witt_subgroup(args) -> Report:
+    cap = args.element_cap
+    classes = [witt.pointed_witt_class(_load_metric(path, cap), cap=cap) for path in args.files]
+    sub = witt.generated_subgroup(classes, cap=args.closure_cap, element_budget=cap)
+    report = Report("witt-subgroup " + " ".join(args.files), generator_count=len(classes))
+    summary = f"order {sub.order}, invariant factors ({fmt_value(sub.invariant_factors)}), group {sub.name()}"
+    report.section("subgroup", [summary], subgroup_order=sub.order, invariant_factors=sub.invariant_factors,
+                   group=sub.name())
+    for i, desc in enumerate(map(describe_class, sub.elements)):
+        report.line(f"[{i}] {desc}", **{f"element_{i}": desc})
+    report.section("table")
     for i, row in enumerate(sub.table):
-        report.put(f"table_{i}", row)
-    print(report.render(args.format), end="")
-    return 0
+        report.line(" ".join(str(x) for x in row), **{f"table_{i}": row})
+    return report
 
 
-def _cmd_classify(args) -> int:
-    verdict = classifier.verdict_dimension(args.n)
-    report = Report(title=f"classify {args.n}")
-    report.put("n", args.n)
-    report.put("verdict", verdict.kind.value)
-    _put_witness(report, verdict)
-    report.put("verdict_notes", verdict.notes)
-    lines = [f"kind: {verdict.kind.value}"]
-    if verdict.witness is not None:
-        lines.append(f"witness: {_describe_witness(verdict.witness)}")
-    lines.append(f"notes: {verdict.notes}")
-    report.add("verdict", lines)
-    print(report.render(args.format), end="")
-    return 0
+def _cmd_classify(args) -> Report:
+    report = Report(f"classify {args.n}", n=args.n)
+    _verdict(report, classifier.verdict_dimension(args.n))
+    return report
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> Report:
     result = classifier.scan_exceptions(args.limit, odd_only=args.odd)
-    report = Report(title=f"scan {args.limit}" + (" odd" if args.odd else ""))
-    report.put("limit", result.limit)
-    report.put("odd_only", result.odd_only)
-    report.put("exception_count", len(result.exceptions))
-    report.put("exceptions", result.exceptions)
-    report.put("acknowledged", result.acknowledged)
-    report.put("divergent", result.divergent)
-    lines = [
-        f"dimensions below {result.limit} with no p^a q^b c factorization:"
-        + (" " + ", ".join(str(n) for n in result.exceptions) if result.exceptions else " none"),
-        "acknowledged special cases in range: "
-        + (", ".join(str(n) for n in result.acknowledged) if result.acknowledged else "none"),
-    ]
-    if result.divergent:
-        lines.append(
-            "DIVERGENCE: enumeration also finds "
-            + ", ".join(str(n) for n in result.divergent)
-            + ", not covered by the acknowledged case analysis"
-        )
-    else:
-        lines.append("enumeration agrees with the acknowledged case analysis")
-    report.add("scan", lines)
-    print(report.render(args.format), end="")
-    return 0
+
+    def listed(ns) -> str:
+        return ", ".join(str(n) for n in ns) if ns else "none"
+
+    report = Report(f"scan {args.limit}" + (" odd" if args.odd else ""))
+    agreement = (f"DIVERGENCE: enumeration also finds {listed(result.divergent)}, not covered by the acknowledged"
+                 " case analysis" if result.divergent else "enumeration agrees with the acknowledged case analysis")
+    report.section(
+        "scan",
+        [f"dimensions below {result.limit} with no p^a q^b c factorization: {listed(result.exceptions)}",
+         f"acknowledged special cases in range: {listed(result.acknowledged)}", agreement],
+        limit=result.limit, odd_only=result.odd_only, exception_count=len(result.exceptions),
+        exceptions=result.exceptions, acknowledged=result.acknowledged, divergent=result.divergent,
+    )
+    return report
 
 
 # ------------------------------------------------------------------- main
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fusionwitt",
-        description="exact fusion ring invariants, Witt classes of metric groups, and dimension classifiers",
-    )
+    parser = argparse.ArgumentParser(prog="fusionwitt", description="exact fusion ring invariants, Witt classes"
+                                     " of metric groups, and dimension classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerance=False):
+    def verb(name, func, help, *caps):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument(ELEMENT_CAP.flag, type=int, default=None, help="max group elements to enumerate")
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-12)
+        for cap in caps:
+            p.add_argument(cap.flag, type=positive_int, default=None, help=f"the {cap.name} (default {cap.default})")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="check a ring or metric group file against the axioms")
+    p = verb("validate", _cmd_validate, "check a ring or metric group file against the axioms", ELEMENT_CAP)
     p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="full invariant report for a fusion ring")
+    p = verb("analyze", _cmd_analyze, "full invariant report for a fusion ring", ELEMENT_CAP)
     p.add_argument("file")
     p.add_argument("--force", action="store_true", help="analyze even when validation fails")
-    common(p, tolerance=True)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("witt-class", help="anisotropic reduction trace and Witt class of a metric group")
+    p.add_argument("--tolerance", type=float, default=1e-12)
+    p = verb("witt-class", _cmd_witt_class, "anisotropic reduction trace and Witt class of a metric group", ELEMENT_CAP)
     p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_witt_class)
-
-    p = sub.add_parser("witt-order", help="order of the Witt class of a metric group")
+    p = verb("witt-order", _cmd_witt_order, "order of the Witt class of a metric group", ORDER_CAP, ELEMENT_CAP)
     p.add_argument("file")
-    p.add_argument(ORDER_CAP.flag, type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_witt_order)
-
-    p = sub.add_parser("witt-subgroup", help="subgroup generated by the Witt classes of metric groups")
+    p = verb("witt-subgroup", _cmd_witt_subgroup, "subgroup generated by the Witt classes of metric groups",
+             CLOSURE_CAP, ELEMENT_CAP)
     p.add_argument("files", nargs="+")
-    p.add_argument(CLOSURE_CAP.flag, type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_witt_subgroup)
-
-    p = sub.add_parser("classify", help="dimension verdict from the arithmetic criteria")
+    p = verb("classify", _cmd_classify, "dimension verdict from the arithmetic criteria")
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("scan", help="exhaustive exception scan below a limit")
+    p = verb("scan", _cmd_scan, "exhaustive exception scan below a limit")
     p.add_argument("limit", type=int)
     p.add_argument("--odd", action="store_true", help="odd dimensions only")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=_cmd_scan)
     return parser
 
 
@@ -619,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except FileFormatError as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -630,6 +519,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FusionWittError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 1
+    print(report.render(args.format), end="")
+    if report.error:
+        print(report.error, file=sys.stderr)
+    return report.status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fusionwitt import cli, corpus, fpdim
 from fusionwitt.cli import (
@@ -14,6 +17,10 @@ from fusionwitt.cli import (
     parse_metric_file,
     parse_ring_file,
 )
+
+
+# z2 group ring with the rigidity line N 1 1 0 removed
+BROKEN_Z2 = "rank 2\nlabels 1 g\ndual 0 1\nN 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\n"
 
 
 def write(tmp_path, name, text):
@@ -100,8 +107,20 @@ def test_missing_file_is_a_format_error():
 
 
 def test_machine_value_round_trip():
-    for text in ["true", "false", "none", "42", "-7", "3/4", "1.5", "0.1", "a,b", "1,2,3", "Z2 x Z8"]:
+    texts = ["true", "false", "none", "42", "-7", "3/4", "1.5", "0.1", "a,b", "1,2,3", "Z2 x Z8"]
+    # int, Fraction or float would read these, but render them differently
+    texts += ["01", "1_0", "1e5", "6/8", "-0", "1,01"]
+    for text in texts:
         assert fmt_value(parse_machine_value(text)) == text
+
+
+# tokens that int, Fraction or float may read, often not rendering them back the same way
+NUMERIC_LOOKING = st.from_regex(r"[-+ ]?[0-9_]{0,3}[./eE]?[-+]?[0-9_]{0,3}", fullmatch=True)
+
+
+@given(st.one_of(st.text(alphabet=st.characters(exclude_characters=",=\n")), NUMERIC_LOOKING))
+def test_machine_value_round_trips_any_token(token):
+    assert fmt_value(parse_machine_value(token)) == token
 
 
 def test_machine_typed_values():
@@ -119,9 +138,12 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_machine_reports_round_trip(capsys):
+def test_machine_reports_round_trip(tmp_path, capsys):
+    # the z2 group ring with its second simple labelled 01, which reads back as a string, not as the int 1
+    leading_zero = write(tmp_path, "z2.fr", BROKEN_Z2.replace("labels 1 g", "labels 1 01") + "N 1 1 0 1\n")
     for argv in (
         ["analyze", corpus.path("ising.fr"), "--format", "machine"],
+        ["analyze", leading_zero, "--format", "machine"],
         ["classify", "1764", "--format", "machine"],
         ["scan", "2000", "--format", "machine"],
         ["witt-class", corpus.path("z8_sixteenth.mg"), "--format", "machine"],
@@ -151,8 +173,7 @@ def test_validate_metric_reports_degeneracy(capsys):
 
 
 def test_validate_broken_ring_exits_one(tmp_path, capsys):
-    # z2 group ring with the rigidity line N 1 1 0 removed
-    path = write(tmp_path, "broken.fr", "rank 2\nlabels 1 g\ndual 0 1\nN 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\n")
+    path = write(tmp_path, "broken.fr", BROKEN_Z2)
     code, out, _ = run_cli(capsys, "validate", path)
     assert code == 1
     assert "rigidity" in out
@@ -173,10 +194,27 @@ def test_syntax_error_exits_two(tmp_path, capsys):
 
 
 def test_analyze_refuses_invalid_without_force(tmp_path, capsys):
-    path = write(tmp_path, "broken.fr", "rank 2\nlabels 1 g\ndual 0 1\nN 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\n")
+    path = write(tmp_path, "broken.fr", BROKEN_Z2)
     code, _, err = run_cli(capsys, "analyze", path)
     assert code == 1
     assert "--force" in err
+
+
+# exit status, stdout and stderr of analyze on invalid rings, recorded
+# before reports were rebuilt on one record: the broken z2 ring (whose
+# forced analysis fails in the power iteration) and Ising with eps x eps
+# containing eps (associativity fails, forced analysis completes)
+GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_INVALID))
+def test_analyze_invalid_ring_output_is_pinned(tmp_path, monkeypatch, capsys, case):
+    write(tmp_path, "broken_z2.fr", BROKEN_Z2)
+    with open(corpus.path("ising.fr"), encoding="utf-8") as fh:
+        write(tmp_path, "ising_assoc.fr", fh.read() + "N 1 1 1 1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *case.split())
+    assert {"code": code, "stdout": out, "stderr": err} == GOLDEN_INVALID[case]
 
 
 def test_analyze_ising_text_report(capsys, ising_ring):
@@ -218,14 +256,14 @@ def test_witt_verbs_refuse_degenerate_forms_naming_the_file(capsys, verb):
     assert err == f"{path}: degenerate form; Witt classes need nondegenerate forms\n"
 
 
-@pytest.mark.parametrize(
-    "env,flag,argv",
-    [
-        ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-class", "z8_sixteenth.mg"]),
-        ("FUSIONWITT_ORDER_CAP", "--order-cap", ["witt-order", "semion.mg"]),
-        ("FUSIONWITT_CLOSURE_CAP", "--closure-cap", ["witt-subgroup", "z3_third.mg"]),
-    ],
-)
+CAP_CASES = [
+    ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-class", "z8_sixteenth.mg"]),
+    ("FUSIONWITT_ORDER_CAP", "--order-cap", ["witt-order", "semion.mg"]),
+    ("FUSIONWITT_CLOSURE_CAP", "--closure-cap", ["witt-subgroup", "z3_third.mg"]),
+]
+
+
+@pytest.mark.parametrize("env,flag,argv", CAP_CASES)
 def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv):
     # each job counts more than 3 and at most 8: |A| = 8, class order 8, 4 classes
     argv = [argv[0]] + [corpus.path(name) for name in argv[1:]]
@@ -237,6 +275,18 @@ def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv
     assert (code, env_err) == (1, err)
     code, _, _ = run_cli(capsys, *argv, flag, "8")
     assert code == 0
+
+
+@pytest.mark.parametrize("env,flag,argv", CAP_CASES)
+@pytest.mark.parametrize("bad", ["abc", "0", "-1", "2.5"])
+def test_cap_values_must_be_positive_integers(capsys, monkeypatch, env, flag, argv, bad):
+    argv = [argv[0]] + [corpus.path(name) for name in argv[1:]]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"{flag}={bad}"])
+    assert err.value.code == 2
+    assert f"argument {flag}: invalid positive_int value: '{bad}'" in capsys.readouterr().err
+    monkeypatch.setenv(env, bad)
+    assert run_cli(capsys, *argv) == (1, "", f"{env} must be a positive integer, not '{bad}'\n")
 
 
 def test_analyze_lets_unrelated_errors_through(capsys, monkeypatch):
@@ -290,6 +340,25 @@ def test_scan_odd(capsys):
     report = parse_machine(out)
     assert report["exceptions"] == (11025, 27225)
     assert report["divergent"] == 27225
+
+
+def test_main_calls_verbs_and_readers_bound_at_call_time(capsys, monkeypatch):
+    # bench/tracer.py wraps these by rebinding module globals; a dispatch
+    # table built at import time would bypass the wrappers
+    calls = []
+
+    def spy(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "_cmd_scan", spy(cli._cmd_scan))
+    monkeypatch.setattr(cli, "_sniff_kind", spy(cli._sniff_kind))
+    assert run_cli(capsys, "scan", "100")[0] == 0
+    assert run_cli(capsys, "validate", corpus.path("ising.fr"))[0] == 0
+    assert calls == ["_cmd_scan", "_sniff_kind"]
 
 
 def test_usage_error_exits_two():
