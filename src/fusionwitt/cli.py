@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("validate", _cmd_validate, "check a ring or metric group file against the axioms", ELEMENT_CAP)
     p.add_argument("file")
-    p = verb("analyze", _cmd_analyze, "full invariant report for a fusion ring", ELEMENT_CAP)
+    p = verb("analyze", _cmd_analyze, "full invariant report for a fusion ring")
     p.add_argument("file")
     p.add_argument("--force", action="store_true", help="analyze even when validation fails")
     p.add_argument("--tolerance", type=float, default=1e-12)

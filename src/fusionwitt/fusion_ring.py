@@ -179,6 +179,8 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
         if ring.n(i, ring.dual[i], 0) == 1
         and sum(ring.coeff[i][ring.dual[i]]) == 1
     )
+    if 0 not in members:
+        raise ConsistencyError(f"the unit {ring.labels[0]} is not invertible, so the invertibles form no group")
     table = []
     for g in members:
         row = []

@@ -1,18 +1,23 @@
 """Finite abelian groups with quadratic forms into Q/Z, all exact.
 
 A metric group is stored in invariant-factor form d_1 | d_2 | ... | d_k
-with the form given by its values on the generators plus the bilinear
-cross terms.  Values are Fractions reduced mod 1.  Degenerate forms are
+with the form given by its Fraction values on the generators plus the
+bilinear cross terms.  It is evaluated in integers over its level L, the
+lcm of the value denominators (value: L q(x); pairing_row: L b(x, e_j));
+only q and b turn results back into Fractions.  Degenerate forms are
 representable (the radical can be nontrivial); nondegeneracy is decided
 by exhaustive radical enumeration and recorded on the object.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import factorize
 from .caps import ELEMENT_CAP
@@ -84,13 +89,48 @@ class MetricGroup:
     def size(self) -> int:
         return self.group.size
 
+    @cached_property
+    def level(self) -> int:
+        """L, the lcm of the denominators of q(e_i) and b(e_i, e_j)."""
+        return lcm(*(v.denominator for row in (self.form.diag, *self.form.cross) for v in row))
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """G_ij = L b(e_i, e_j), with the diagonal kept as 2 L q(e_i), not
+        reduced mod L, so that x^T G x = 2 L q(x) exactly."""
+        L = self.level
+        return tuple(
+            tuple(int(2 * qi * L) if i == j else int(v * L) for j, v in enumerate(row))
+            for i, (qi, row) in enumerate(zip(self.form.diag, self.form.cross))
+        )
+
+    def value(self, x) -> int:
+        """L q(x) mod L for an integer tuple x, unchecked: half of x^T G x."""
+        total = 0
+        for a, row in zip(x, self.gram):
+            if a:
+                total += a * sum(map(mul, row, x))
+        return total // 2 % self.level
+
+    def pairing_row(self, x) -> tuple[int, ...]:
+        """L b(x, e_j) mod L for every generator e_j, unchecked: G x mod L."""
+        return tuple([sum(map(mul, row, x)) % self.level for row in self.gram])
+
+    def _require_element(self, x) -> None:
+        orders = self.orders
+        if len(x) != len(orders) or any(not 0 <= a < d for a, d in zip(x, orders)):
+            raise ValueError(f"{x} is not an element of the group with orders {orders}")
+
     def q(self, x) -> Fraction:
-        return evaluate(self, x)
+        """q(x) = sum x_i^2 q(e_i) + sum_{i<j} x_i x_j b(e_i, e_j) mod 1."""
+        self._require_element(x)
+        return Fraction(self.value(x), self.level)
 
     def b(self, x, y) -> Fraction:
-        """Polarization b(x, y) = q(x + y) - q(x) - q(y) mod 1."""
-        g = self.group
-        return (evaluate(self, g.add(x, y)) - evaluate(self, x) - evaluate(self, y)) % 1
+        """b(x, y) = q(x + y) - q(x) - q(y) mod 1, by bilinearity: sum y_j b(x, e_j)."""
+        self._require_element(x)
+        self._require_element(y)
+        return Fraction(sum(map(mul, self.pairing_row(x), y)) % self.level, self.level)
 
 
 def _mod1(value) -> Fraction:
@@ -163,38 +203,12 @@ def metric_group(orders, diag, cross=(), cap: int | None = None) -> MetricGroup:
     return MetricGroup(group=group, form=form, nondegenerate=nondeg)
 
 
-def evaluate(mg: MetricGroup, x) -> Fraction:
-    """q(x) = sum x_i^2 q_i + sum_{i<j} x_i x_j b_ij mod 1."""
-    orders = mg.group.orders
-    if len(x) != len(orders) or any(not 0 <= a < d for a, d in zip(x, orders)):
-        raise ValueError(f"{x} is not an element of the group with orders {orders}")
-    total = Fraction(0)
-    diag, cross = mg.form.diag, mg.form.cross
-    for i, a in enumerate(x):
-        if a:
-            total += a * a * diag[i]
-            for j in range(i + 1, len(x)):
-                if x[j]:
-                    total += a * x[j] * cross[i][j]
-    return total % 1
-
-
-def _gen_pairing(mg: MetricGroup, x, i: int) -> Fraction:
-    """b(x, e_i) from the stored generator data, no polarization needed."""
-    total = 2 * x[i] * mg.form.diag[i]
-    for j, a in enumerate(x):
-        if j != i and a:
-            total += a * mg.form.cross[i][j]
-    return total % 1
-
-
 def _radical_scan(mg: MetricGroup, cap: int | None):
     """Lazily yield the radical in element order, zero first, so the
     nondegeneracy check stops at the first nonzero radical element."""
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
-    k = len(mg.orders)
     for x in mg.group.elements():
-        if all(_gen_pairing(mg, x, i) == 0 for i in range(k)):
+        if not any(mg.pairing_row(x)):
             yield x
 
 
@@ -232,25 +246,10 @@ def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
     argument in (1/8)Z is enforced as a postcondition.
     """
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
-    denoms = [v.denominator for v in mg.form.diag]
-    denoms += [v.denominator for row in mg.form.cross for v in row]
-    level = lcm(8, *denoms) if denoms else 8
-    diag_scaled = [int(v * level) for v in mg.form.diag]
-    cross_scaled = [[int(v * level) for v in row] for row in mg.form.cross]
-    counts: dict[int, int] = {}
-    k = len(mg.orders)
-    for x in mg.group.elements():
-        e = 0
-        for i in range(k):
-            a = x[i]
-            if a:
-                e += a * a * diag_scaled[i]
-                for j in range(i + 1, k):
-                    if x[j]:
-                        e += a * x[j] * cross_scaled[i][j]
-        e %= level
-        counts[e] = counts.get(e, 0) + 1
-    g = CycInt.from_exponent_counts(level, counts)
+    level = lcm(8, mg.level)
+    step = level // mg.level
+    counts = Counter(map(mg.value, mg.group.elements()))
+    g = CycInt.from_exponent_counts(level, {v * step: c for v, c in counts.items()})
     mag2 = (g * g.conjugate()).as_integer()
     if mag2 is None:
         raise ConsistencyError("G * conj(G) is not a rational integer")
@@ -282,6 +281,12 @@ def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
 # ------------------------------------------------- rebasing and direct sums
 
 
+def _restricted(ambient: MetricGroup, orders, gens, cap: int | None) -> MetricGroup:
+    """The form of ambient read off gens, taken as generators of these orders."""
+    cross = {(i, j): ambient.b(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))}
+    return metric_group(orders, [ambient.q(h) for h in gens], cross, cap=cap)
+
+
 def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], relations: list[list[int]], expected_size: int, cap: int | None = None) -> MetricGroup:
     """Metric group presented by elements of an ambient group.
 
@@ -307,12 +312,7 @@ def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], r
     size = prod(o for o, _ in kept) if kept else 1
     if size != expected_size:
         raise ConsistencyError(f"rebased presentation has order {size}, expected {expected_size}")
-    diag = [ambient.q(h) for _, h in kept]
-    cross = {}
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            cross[(i, j)] = ambient.b(kept[i][1], kept[j][1])
-    return metric_group([o for o, _ in kept], diag, cross, cap=cap)
+    return _restricted(ambient, [o for o, _ in kept], [h for _, h in kept], cap)
 
 
 def direct_sum(a: MetricGroup, b: MetricGroup, cap: int | None = None) -> MetricGroup:
@@ -369,12 +369,7 @@ def sylow_decompose(mg: MetricGroup, cap: int | None = None) -> dict[int, Metric
                 m = d // pv
                 orders.append(pv)
                 gens.append(tuple(m if t == i else 0 for t in range(len(mg.orders))))
-        diag = [mg.q(g) for g in gens]
-        cross = {}
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                cross[(i, j)] = mg.b(gens[i], gens[j])
-        part = metric_group(orders, diag, cross, cap=cap)
+        part = _restricted(mg, orders, gens, cap)
         if not part.nondegenerate:
             raise ConsistencyError(f"Sylow {p}-part of a nondegenerate group is degenerate")
         parts[p] = part

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import cayley_invariants, group_name
 from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
@@ -33,7 +34,7 @@ from .snf import integer_kernel
 def isotropic_elements(mg: MetricGroup, cap: int | None = None) -> list[tuple[int, ...]]:
     """Nonzero x with q(x) = 0, in lexicographic order."""
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
-    return [x for x in mg.group.elements() if any(x) and mg.q(x) == 0]
+    return [x for x in mg.group.elements() if any(x) and mg.value(x) == 0]
 
 
 def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> MetricGroup:
@@ -51,7 +52,8 @@ def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> 
         raise ValueError(f"q({x}) = {mg.q(x)} is nonzero")
     group = mg.group
     ord_x = group.element_order(x)
-    perp = [y for y in group.elements() if mg.b(x, y) == 0]
+    row, level = mg.pairing_row(x), mg.level
+    perp = [y for y in group.elements() if sum(map(mul, row, y)) % level == 0]
     if len(perp) * ord_x != mg.size:
         raise ConsistencyError("perp subgroup has unexpected order; degenerate pairing?")
 

@@ -200,6 +200,22 @@ def test_analyze_refuses_invalid_without_force(tmp_path, capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_forced_analyze_names_a_unit_that_is_not_invertible(tmp_path, capsys, fmt):
+    # X0 X0 = 2 X0: the ring has no invertibles, so no group of them
+    path = write(tmp_path, "unit2.fr", "rank 1\nlabels 1\ndual 0\nN 0 0 0 2\n")
+    code, out, err = run_cli(capsys, "analyze", "--force", "--format", fmt, path)
+    assert (code, out) == (1, "")
+    assert err == "the unit 1 is not invertible, so the invertibles form no group\n"
+
+
+def test_analyze_takes_no_element_cap(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", corpus.path("ising.fr"), "--element-cap", "8"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --element-cap 8" in capsys.readouterr().err
+
+
 # exit status, stdout and stderr of analyze on invalid rings, recorded
 # before reports were rebuilt on one record: the broken z2 ring (whose
 # forced analysis fails in the power iteration) and Ising with eps x eps

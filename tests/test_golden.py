@@ -2,8 +2,9 @@
 
 golden.json holds the exit status and stdout of every verb on every
 corpus file it applies to, in both formats, run from the corpus
-directory so the report titles carry bare file names.  The witt-subgroup
-closure of the 2-groups (about 3 s) is left out to keep the suite fast.
+directory so the report titles carry bare file names.  It includes the
+witt-subgroup closure of the six corpus 2-groups, the slowest case and
+the only one that pins the 2-primary closure with cross terms.
 
 Re-record with `PYTHONPATH=src python3 tests/test_golden.py` only for a
 deliberate change of output, and say in CHANGES.md why it changed.
@@ -34,6 +35,8 @@ def cases() -> list[str]:
     runs += [
         ["witt-subgroup", "z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg"],
         ["witt-subgroup", "z5_fifth.mg", "z5_two_fifths.mg"],
+        ["witt-subgroup", "semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_hyperbolic.mg", "z4_eighth.mg",
+         "z8_sixteenth.mg"],
     ]
     runs += [["classify", n] for n in ("1764", "27225", "4")]
     runs += [["scan", "1800"], ["scan", "33075", "--odd"]]

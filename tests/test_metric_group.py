@@ -1,5 +1,7 @@
 import cmath
+from collections import Counter
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from fusionwitt.metric_group import (
     sylow_decompose,
     validate_metric,
 )
+from fusionwitt.witt import isotropic_elements, reduce_once
 
 F = Fraction
 
@@ -249,3 +252,70 @@ def test_random_diagonal_forms_validate_and_satisfy_milgram(data):
         assert gs.argument is not None and 8 * gs.argument % 1 == 0
     g = numeric_gauss(mg)
     assert abs(abs(g) ** 2 - gs.magnitude_squared) < 1e-8
+
+
+# ------------------------------------- integer evaluator against Fractions
+
+
+def oracle_q(mg, x) -> Fraction:
+    """q(x) = sum x_i^2 q_i + sum_{i<j} x_i x_j b_ij mod 1 in Fractions,
+    straight from the stored generator values, without the level."""
+    total = Fraction(0)
+    diag, cross = mg.form.diag, mg.form.cross
+    for i, a in enumerate(x):
+        total += a * a * diag[i]
+        for j in range(i + 1, len(x)):
+            total += a * x[j] * cross[i][j]
+    return total % 1
+
+
+@st.composite
+def forms_with_cross_terms(draw, max_size=64):
+    """Orders d_1 | d_2 | d_3 (2-groups, odd p and mixed primes) with random
+    values: q_i = u/2d for even d (u/2^(k+1) on Z_2^k), u/d for odd d, and
+    b_ij = v/gcd(d_i, d_j)."""
+    orders = [draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16]))]
+    for _ in range(draw(st.integers(0, 2))):
+        d = orders[-1] * draw(st.sampled_from([1, 2, 3]))
+        if prod(orders) * d > max_size:
+            break
+        orders.append(d)
+    diag = [F(draw(st.integers(0, 2 * d - 1)), 2 * d) if d % 2 == 0 else F(draw(st.integers(0, d - 1)), d)
+            for d in orders]
+    cross = {}
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            cross[(i, j)] = F(draw(st.integers(0, g - 1)), g)
+    return orders, diag, cross
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_with_cross_terms())
+def test_integer_evaluator_matches_fraction_oracle(form):
+    mg = metric_group(*form)
+    g = mg.group
+    elements = list(g.elements())
+    q = {x: oracle_q(mg, x) for x in elements}
+    assert all(mg.q(x) == q[x] for x in elements)
+    pairing = {(x, y): (q[g.add(x, y)] - q[x] - q[y]) % 1 for x in elements for y in elements}
+    assert all(mg.b(x, y) == pairing[x, y] for x in elements for y in elements)
+    assert radical(mg) == [x for x in elements if all(pairing[x, y] == 0 for y in elements)]
+    isotropic = [x for x in elements if any(x) and q[x] == 0]
+    assert isotropic_elements(mg) == isotropic
+    numeric = sum(cmath.exp(2j * cmath.pi * v) for v in q.values())
+    gs = gauss_sum(mg)
+    assert abs(abs(numeric) ** 2 - gs.magnitude_squared) < 1e-8
+    if gs.argument is not None:
+        assert circular_close(cmath.phase(numeric) / (2 * cmath.pi), float(gs.argument))
+    if not mg.nondegenerate:
+        return
+    for x in isotropic[:1] + isotropic[-1:]:
+        # x-perp / <x>: q is constant on the cosets of <x> inside x-perp, so
+        # the quotient's values, each counted ord(x) times, are q on x-perp
+        perp = [y for y in elements if pairing[x, y] == 0]
+        rep = reduce_once(mg, x)
+        ord_x = g.element_order(x)
+        assert len(perp) == rep.size * ord_x
+        values = Counter(oracle_q(rep, z) for z in rep.group.elements())
+        assert Counter({v: c * ord_x for v, c in values.items()}) == Counter(q[y] for y in perp)
