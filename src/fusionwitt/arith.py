@@ -66,8 +66,11 @@ def prime_power_base(n: int) -> int | None:
 
 
 def smallest_factor_sieve(limit: int) -> array:
-    """Array s with s[n] = smallest prime factor of n, for 0 <= n < limit."""
-    s = array("l", range(limit))
+    """Array s with s[n] = smallest prime factor of n, for 0 <= n < limit.
+
+    Entries are C ints, 4 bytes each: scans keep limit <= FACTOR_LIMIT,
+    far below 2**31, and array raises OverflowError rather than wrap."""
+    s = array("i", range(limit))
     for p in range(2, isqrt(limit - 1) + 1):
         if s[p] == p:
             for m in range(p * p, limit, p):

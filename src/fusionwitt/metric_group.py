@@ -4,13 +4,16 @@ A metric group is stored in invariant-factor form d_1 | d_2 | ... | d_k
 with the form given by its Fraction values on the generators plus the
 bilinear cross terms.  It is evaluated in integers over its level L, the
 lcm of the value denominators (value: L q(x); pairing_row: L b(x, e_j));
-only q and b turn results back into Fractions.  Degenerate forms are
-representable (the radical can be nontrivial); nondegeneracy is decided
-by exhaustive radical enumeration and recorded on the object.
+only q and b turn results back into Fractions.  The level, the Gram
+matrix and the Gauss sum are computed once per (immutable) object.
+Degenerate forms are representable (the radical can be nontrivial);
+nondegeneracy is decided by exhaustive radical enumeration and recorded
+on the object.
 """
 
 from __future__ import annotations
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,6 +118,48 @@ class MetricGroup:
     def pairing_row(self, x) -> tuple[int, ...]:
         """L b(x, e_j) mod L for every generator e_j, unchecked: G x mod L."""
         return tuple([sum(map(mul, row, x)) % self.level for row in self.gram])
+
+    @cached_property
+    def gauss(self) -> GaussSum:
+        """Sum of exp(2 pi i q(x)) over the group, computed exactly, once.
+
+        The argument is pinned down in two exact steps: G * conj(G) gives
+        |G|^2, and comparing G**2 against |G|^2 * i**m fixes the argument
+        mod pi; the remaining sign is separated numerically with error
+        orders of magnitude below the gap of 2|G| >= 2.
+
+        For a nondegenerate form the Milgram relation |G|^2 = |A| and
+        argument in (1/8)Z is enforced as a postcondition.  Unchecked
+        against the element cap: read it through gauss_sum.
+        """
+        level = lcm(8, self.level)
+        step = level // self.level
+        counts = Counter(map(self.value, self.group.elements()))
+        g = CycInt.from_exponent_counts(level, {v * step: c for v, c in counts.items()})
+        mag2 = (g * g.conjugate()).as_integer()
+        if mag2 is None:
+            raise ConsistencyError("G * conj(G) is not a rational integer")
+        if mag2 == 0:
+            result = GaussSum(magnitude_squared=0, argument=None)
+        else:
+            g2 = g * g
+            quarter = next(
+                (m for m in range(4) if g2 == CycInt.root_of_unity(level, m * level // 4).scaled(mag2)),
+                None,
+            )
+            if quarter is None:
+                raise ConsistencyError("G**2 is not |G|^2 times a fourth root of unity")
+            # argument is quarter/8 or quarter/8 + 1/2 of a turn; the numeric
+            # value of G rotated back is +-|G|, and |G| >= 1 dwarfs float error
+            rotated = g.numeric() * cmath.exp(-2j * cmath.pi * quarter / 8)
+            eighths = quarter if rotated.real > 0 else quarter + 4
+            result = GaussSum(magnitude_squared=mag2, argument=Fraction(eighths, 8) % 1)
+        if self.nondegenerate:
+            if result.magnitude_squared != self.size or result.argument is None:
+                raise ConsistencyError(
+                    f"Milgram check failed: |G|^2 = {result.magnitude_squared} on a nondegenerate group of order {self.size}"
+                )
+        return result
 
     def _require_element(self, x) -> None:
         orders = self.orders
@@ -235,47 +280,9 @@ class GaussSum:
 
 
 def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
-    """Sum of exp(2 pi i q(x)) over the group, computed exactly.
-
-    The argument is pinned down in two exact steps: G * conj(G) gives
-    |G|^2, and comparing G**2 against |G|^2 * i**m fixes the argument
-    mod pi; the remaining sign is separated numerically with error
-    orders of magnitude below the gap of 2|G| >= 2.
-
-    For a nondegenerate form the Milgram relation |G|^2 = |A| and
-    argument in (1/8)Z is enforced as a postcondition.
-    """
+    """mg.gauss, computed once per group; the element cap is checked on every call."""
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
-    level = lcm(8, mg.level)
-    step = level // mg.level
-    counts = Counter(map(mg.value, mg.group.elements()))
-    g = CycInt.from_exponent_counts(level, {v * step: c for v, c in counts.items()})
-    mag2 = (g * g.conjugate()).as_integer()
-    if mag2 is None:
-        raise ConsistencyError("G * conj(G) is not a rational integer")
-    if mag2 == 0:
-        result = GaussSum(magnitude_squared=0, argument=None)
-    else:
-        g2 = g * g
-        quarter = next(
-            (m for m in range(4) if g2 == CycInt.root_of_unity(level, m * level // 4).scaled(mag2)),
-            None,
-        )
-        if quarter is None:
-            raise ConsistencyError("G**2 is not |G|^2 times a fourth root of unity")
-        # argument is quarter/8 or quarter/8 + 1/2 of a turn; the numeric
-        # value of G rotated back is +-|G|, and |G| >= 1 dwarfs float error
-        import cmath
-
-        rotated = g.numeric() * cmath.exp(-2j * cmath.pi * quarter / 8)
-        eighths = quarter if rotated.real > 0 else quarter + 4
-        result = GaussSum(magnitude_squared=mag2, argument=Fraction(eighths, 8) % 1)
-    if mg.nondegenerate:
-        if result.magnitude_squared != mg.size or result.argument is None:
-            raise ConsistencyError(
-                f"Milgram check failed: |G|^2 = {result.magnitude_squared} on a nondegenerate group of order {mg.size}"
-            )
-    return result
+    return mg.gauss
 
 
 # ------------------------------------------------- rebasing and direct sums

@@ -43,6 +43,8 @@ def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> 
     Requires mg nondegenerate and x a nonzero isotropic element.  The
     result has order |A| / ord(x)**2, is nondegenerate, and keeps the
     normalized Gauss sum: same argument, and |G|^2 = |A| on both sides.
+    Both sums are checked; each group computes its own once, so along a
+    reduction chain mg's sum is the one its producing step computed.
     """
     if not mg.nondegenerate:
         raise ValueError("reduction needs a nondegenerate metric group")
@@ -280,23 +282,23 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
     """Closure of the generators under class multiplication.
 
     Equality inside the closure is decided by class_eq, so two different
-    presentations of one class occupy one slot.  Raises CapExceededError
+    presentations of one class occupy one slot.  Each ordered pair (i, j)
+    is multiplied once: its product's index is recorded, later passes
+    skip it, and the table is read from the record, so a closure of
+    order n costs n**2 class_multiply calls.  Raises CapExceededError
     when the closure grows past the cap.
     """
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
+    products: dict[tuple[int, int], int] = {}
 
-    def index_of(c: PointedWittClass) -> int | None:
+    def admit(c: PointedWittClass) -> int:
+        """The index of c's class, appended to elements if it is new."""
         for i, e in enumerate(elements):
             if class_eq(e, c):
                 return i
-        return None
-
-    def admit(c: PointedWittClass) -> bool:
-        if index_of(c) is not None:
-            return False
         elements.append(c)
         CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes", cap)
-        return True
+        return len(elements) - 1
 
     for g in generators:
         admit(g)
@@ -305,10 +307,12 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
         changed = False
         for i in range(len(elements)):
             for j in range(len(elements)):
-                changed |= admit(class_multiply(elements[i], elements[j], cap=element_budget))
-    table = tuple(
-        tuple(index_of(class_multiply(a, b, cap=element_budget)) for b in elements) for a in elements
-    )
+                if (i, j) not in products:
+                    before = len(elements)
+                    products[i, j] = admit(class_multiply(elements[i], elements[j], cap=element_budget))
+                    changed |= len(elements) > before
+    n = len(elements)
+    table = tuple(tuple(products[i, j] for j in range(n)) for i in range(n))
     return WittSubgroup(elements=tuple(elements), table=table, invariant_factors=cayley_invariants(table, 0))
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusionwitt.arith import (
+    FACTOR_LIMIT,
     cayley_invariants,
     divisors,
     factorize,
@@ -56,6 +57,12 @@ def test_sieve_matches_trial_division():
     sieve = smallest_factor_sieve(5000)
     for n in range(2, 5000):
         assert factorize_with_sieve(n, sieve) == factorize(n)
+
+
+def test_sieve_entries_are_small_and_hold_the_factor_limit():
+    sieve = smallest_factor_sieve(10)
+    assert sieve.itemsize <= 4
+    assert FACTOR_LIMIT < 2 ** (8 * sieve.itemsize - 1)
 
 
 def test_divisors():

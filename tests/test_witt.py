@@ -1,15 +1,22 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_metric
+from fusionwitt import cli, corpus, witt
+from fusionwitt.arith import cayley_invariants
+from fusionwitt.caps import CLOSURE_CAP
+from fusionwitt.cyclotomic import CycInt
 from fusionwitt.errors import CapExceededError
 from fusionwitt.metric_group import direct_sum, gauss_sum, metric_group
 from fusionwitt.witt import (
     IDENTITY_CLASS,
     IDENTITY_WORD,
     ISING_GENERATOR_WORD,
+    WittSubgroup,
     WittWord,
     anisotropic_reduction,
     class_eq,
@@ -189,6 +196,72 @@ def test_generated_subgroup_closure_cap(z3_third):
         generated_subgroup([pointed_witt_class(z3_third)], cap=3)
 
 
+def closure_oracle(generators, cap=None, element_budget=None) -> WittSubgroup:
+    """Reference closure: every pass multiplies every ordered pair again,
+    and the table multiplies all n**2 pairs once more."""
+    elements = [IDENTITY_CLASS]
+
+    def index_of(c):
+        for i, e in enumerate(elements):
+            if class_eq(e, c):
+                return i
+        return None
+
+    def admit(c):
+        if index_of(c) is not None:
+            return False
+        elements.append(c)
+        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes", cap)
+        return True
+
+    for g in generators:
+        admit(g)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(elements)):
+            for j in range(len(elements)):
+                changed |= admit(class_multiply(elements[i], elements[j], cap=element_budget))
+    table = tuple(
+        tuple(index_of(class_multiply(a, b, cap=element_budget)) for b in elements) for a in elements
+    )
+    return WittSubgroup(elements=tuple(elements), table=table, invariant_factors=cayley_invariants(table, 0))
+
+
+@st.composite
+def small_forms(draw, p):
+    """A nondegenerate form on Z_{p^k} (k <= 3 at p = 2, else k <= 2) or
+    on Z_p x Z_p with a nonzero cross term."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3 if p == 2 else 2))
+        den = 2 * p**k if p == 2 else p**k
+        u = draw(st.integers(1, den - 1).filter(lambda u: u % p))
+        return metric_group((p**k,), (F(u, den),))
+    den = 4 if p == 2 else p
+    diag = (F(draw(st.integers(0, den - 1)), den), F(draw(st.integers(0, den - 1)), den))
+    mg = metric_group((p, p), diag, {(0, 1): F(draw(st.integers(1, p - 1)), p)})
+    assume(mg.nondegenerate)
+    return mg
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_matches_recompute_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    classes = [pointed_witt_class(mg) for mg in data.draw(st.lists(small_forms(p), min_size=1, max_size=4))]
+    for cap in (3, None):
+        try:
+            expected = closure_oracle(classes, cap=cap)
+        except CapExceededError as err:
+            with pytest.raises(CapExceededError, match=re.escape(str(err))):
+                generated_subgroup(classes, cap=cap)
+            continue
+        sub = generated_subgroup(classes, cap=cap)
+        assert sub.elements == expected.elements
+        assert sub.table == expected.table
+        assert sub.invariant_factors == expected.invariant_factors
+
+
 def test_randomized_choices_reach_the_same_class():
     tower = direct_sum(load_metric("z4_eighth.mg"), load_metric("z2z2_hyperbolic.mg"))
     baseline = pointed_witt_class(tower)
@@ -196,6 +269,63 @@ def test_randomized_choices_reach_the_same_class():
         rng = random.Random(seed)
         cls = pointed_witt_class(tower, choose=rng.choice)
         assert class_eq(cls, baseline)
+
+
+# ------------------------------------------------------ operation counts
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call to owner.name from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def gauss_computations(monkeypatch):
+    """Each Gauss sum computation conjugates the sum once, and nothing
+    else in the package conjugates; the list records each sum computed."""
+    return count_calls(monkeypatch, CycInt, "conjugate")
+
+
+@pytest.mark.parametrize("names", [("semion.mg",), ("z3_third.mg", "z3_two_thirds.mg"), ("z5_fifth.mg", "z5_two_fifths.mg")])
+def test_closure_multiplies_each_ordered_pair_once(monkeypatch, names):
+    classes = [pointed_witt_class(load_metric(name)) for name in names]
+    products = count_calls(monkeypatch, witt, "class_multiply")
+    sub = generated_subgroup(classes)
+    assert len(products) == sub.order**2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: load_metric("z8_sixteenth.mg"),
+        lambda: load_metric("hyperbolic3.mg"),
+        lambda: direct_sum(load_metric("z4_eighth.mg"), load_metric("z2z2_hyperbolic.mg")),
+    ],
+    ids=["z8_sixteenth", "hyperbolic3", "z4_eighth+z2z2_hyperbolic"],
+)
+def test_reduction_chain_computes_one_gauss_sum_per_group(monkeypatch, build):
+    mg = build()
+    sums = gauss_computations(monkeypatch)
+    _, steps = anisotropic_reduction(mg)
+    assert steps
+    assert len(sums) == len(steps) + 1
+
+
+def test_witt_class_computes_each_gauss_sum_once(monkeypatch, capsys):
+    sums = gauss_computations(monkeypatch)
+    assert cli.main(["witt-class", corpus.path("z8_sixteenth.mg")]) == 0
+    assert "reduce by (4,)" in capsys.readouterr().out
+    # the input Z8, its Sylow 2-part (an equal group built separately) and
+    # the Z2 after one step; the step's argument and the part's argument
+    # are read back, not computed again
+    assert len(sums) == 3
 
 
 # ------------------------------------------------------------------ words
