@@ -5,6 +5,12 @@ modulo the n-th cyclotomic polynomial, so equality of two expressions in
 n-th roots of unity is equality of tuples.  No floating point enters any
 equality decision; numeric() exists only for sign disambiguation and
 display, with errors far below the gaps it has to resolve.
+
+Phi_n is sparse at the levels a metric group meets (n = lcm(8, L)): with
+r the product of the primes of n, Phi_n(x) = Phi_r(x**(n/r)), so Phi_n
+has no more nonzero coefficients than Phi_r.  Reduction subtracts only
+those nonzero coefficients, at a cost of len x taps rather than
+len x phi(n).
 """
 
 from __future__ import annotations
@@ -12,19 +18,28 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 
-from .arith import divisors
+from .arith import divisors, factorize
 
 
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
 
-    Computed by exact division: x**n - 1 = prod of Phi_d over d | n.
+    For n with a square factor, Phi_n(x) = Phi_r(x**(n/r)) where r is the
+    radical of n (the product of its primes).  For squarefree n, exact
+    division: x**n - 1 = prod of Phi_d over d | n, each d squarefree too.
 
     >>> cyclotomic_polynomial(8)
     (1, 0, 0, 0, 1)
     """
+    r = prod(factorize(n))
+    if r < n:
+        step, inner = n // r, cyclotomic_polynomial(r)
+        poly = [0] * ((len(inner) - 1) * step + 1)
+        poly[::step] = inner
+        return tuple(poly)
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d < n:
@@ -48,16 +63,24 @@ def _divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
-    """Reduce an exponent-coefficient vector modulo Phi_n."""
+@cache
+def _taps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg(Phi_n) and the nonzero lower coefficients of Phi_n as
+    (k - deg, c) pairs: x**deg = -sum c x**k modulo Phi_n."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
+    return deg, tuple((k - deg, c) for k, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
+    """Reduce an exponent-coefficient vector modulo Phi_n."""
+    deg, taps = _taps(n)
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):
         q = work[i]
         if q:
-            for k in range(deg + 1):
-                work[i - deg + k] -= q * phi[k]
+            for offset, c in taps:
+                work[i + offset] -= q * c
     work = work[:deg]
     work += [0] * (deg - len(work))
     return tuple(work)

@@ -192,7 +192,9 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
     """
     if a.orders != b.orders:
         return None
-    if sorted(a.q(x) for x in a.group.elements()) != sorted(b.q(y) for y in b.group.elements()):
+    # the level is the lcm of all q-value denominators, so equal levels and
+    # equal sorted L q values are equal sorted q values
+    if a.level != b.level or sorted(map(a.value, a.group.elements())) != sorted(map(b.value, b.group.elements())):
         return None
     k = len(a.orders)
     if k == 0:

@@ -6,6 +6,12 @@ directory so the report titles carry bare file names.  It includes the
 witt-subgroup closure of the six corpus 2-groups, the slowest case and
 the only one that pins the 2-primary closure with cross terms.
 
+The corpus never goes above order 8, so LARGE_LEVEL_STDOUT also pins
+witt-class and witt-order on three forms of order 2^12 and 3^7, whose
+Gauss sums live in Z[zeta_N] for N = 8192 and 5832.  Their .mg text is
+in LARGE_LEVEL_FORMS, written to a temporary directory rather than the
+corpus, which other checks enumerate.
+
 Re-record with `PYTHONPATH=src python3 tests/test_golden.py` only for a
 deliberate change of output, and say in CHANGES.md why it changed.
 """
@@ -43,11 +49,12 @@ def cases() -> list[str]:
     return [" ".join(argv + ["--format", fmt]) for argv in runs for fmt in ("text", "machine")]
 
 
-def run_case(case: str) -> dict:
-    """Exit status and stdout of one CLI call; stderr is dropped."""
+def run_case(case: str, directory: str = CORPUS_DIR) -> dict:
+    """Exit status and stdout of one CLI call run from directory; stderr
+    is dropped."""
     out = io.StringIO()
     cwd = os.getcwd()
-    os.chdir(CORPUS_DIR)
+    os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(case.split())
@@ -64,6 +71,159 @@ def golden() -> dict:
 @pytest.mark.parametrize("case", cases())
 def test_cli_output_matches_golden(golden, case):
     assert run_case(case) == golden[case]
+
+
+LARGE_LEVEL_FORMS = {
+    "z4096.mg": "orders 4096\nq 1/8192\n",
+    "z2187.mg": "orders 2187\nq 1/2187\n",
+    "z3_z729.mg": "orders 3 729\nq 1/3 1/729\n",
+}
+
+# stdout of each case, every one exiting 0
+LARGE_LEVEL_STDOUT = {
+    "witt-class z4096.mg --format text": """\
+witt-class z4096.mg
+===================
+
+input
+  orders: (4096)  |A| = 4096
+  gauss sum: |G|^2 = 4096, argument = 1/8 of a turn
+
+prime 2
+  part orders (4096), argument 1/8
+  reduce by (128,): (4096) -> (4), argument 1/8
+  anisotropic: orders (4) q (1/8)
+  gauss argument preserved: true
+
+class
+  p=2 orders (4) q (1/8)
+""",
+    "witt-class z4096.mg --format machine": """\
+order=4096
+gauss_magnitude_squared=4096
+gauss_argument=1/8
+primes=2
+part_2_orders=4096
+part_2_steps=1
+part_2_anisotropic_orders=4
+part_2_anisotropic_q=1/8
+part_2_argument=1/8
+class_identity=false
+""",
+    "witt-order z4096.mg --format text": """\
+witt-order z4096.mg
+===================
+
+class
+  p=2 orders (4) q (1/8)
+
+order
+  8
+""",
+    "witt-order z4096.mg --format machine": """\
+class_identity=false
+witt_order=8
+""",
+    "witt-class z2187.mg --format text": """\
+witt-class z2187.mg
+===================
+
+input
+  orders: (2187)  |A| = 2187
+  gauss sum: |G|^2 = 2187, argument = 1/4 of a turn
+
+prime 3
+  part orders (2187), argument 1/4
+  reduce by (81,): (2187) -> (3), argument 1/4
+  anisotropic: orders (3) q (1/3)
+  gauss argument preserved: true
+
+class
+  p=3 orders (3) q (1/3)
+""",
+    "witt-class z2187.mg --format machine": """\
+order=2187
+gauss_magnitude_squared=2187
+gauss_argument=1/4
+primes=3
+part_3_orders=2187
+part_3_steps=1
+part_3_anisotropic_orders=3
+part_3_anisotropic_q=1/3
+part_3_argument=1/4
+class_identity=false
+""",
+    "witt-order z2187.mg --format text": """\
+witt-order z2187.mg
+===================
+
+class
+  p=3 orders (3) q (1/3)
+
+order
+  4
+""",
+    "witt-order z2187.mg --format machine": """\
+class_identity=false
+witt_order=4
+""",
+    "witt-class z3_z729.mg --format text": """\
+witt-class z3_z729.mg
+=====================
+
+input
+  orders: (3,729)  |A| = 2187
+  gauss sum: |G|^2 = 2187, argument = 1/4 of a turn
+
+prime 3
+  part orders (3,729), argument 1/4
+  reduce by (0, 27): (3,729) -> (3), argument 1/4
+  anisotropic: orders (3) q (1/3)
+  gauss argument preserved: true
+
+class
+  p=3 orders (3) q (1/3)
+""",
+    "witt-class z3_z729.mg --format machine": """\
+order=2187
+gauss_magnitude_squared=2187
+gauss_argument=1/4
+primes=3
+part_3_orders=3,729
+part_3_steps=1
+part_3_anisotropic_orders=3
+part_3_anisotropic_q=1/3
+part_3_argument=1/4
+class_identity=false
+""",
+    "witt-order z3_z729.mg --format text": """\
+witt-order z3_z729.mg
+=====================
+
+class
+  p=3 orders (3) q (1/3)
+
+order
+  4
+""",
+    "witt-order z3_z729.mg --format machine": """\
+class_identity=false
+witt_order=4
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def large_level_dir(tmp_path_factory) -> str:
+    directory = tmp_path_factory.mktemp("large_level")
+    for name, text in LARGE_LEVEL_FORMS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return str(directory)
+
+
+@pytest.mark.parametrize("case", LARGE_LEVEL_STDOUT)
+def test_large_level_output_matches_golden(large_level_dir, case):
+    assert run_case(case, large_level_dir) == {"code": 0, "stdout": LARGE_LEVEL_STDOUT[case]}
 
 
 if __name__ == "__main__":

@@ -37,3 +37,11 @@ def test_traced_name_resolves(span, module, attr):
         assert attr in owner, f"{module}.{cls_name}.{attr} is gone; bench/tracer.py traces it as {span}"
         return
     assert callable(getattr(owner, attr, None)), f"{module}.{attr} is gone; bench/tracer.py traces it as {span}"
+
+
+def test_cyclotomic_polynomial_keeps_cache_info():
+    # bench/run.py reads cyclotomic_polynomial.cache_info().misses for the
+    # cyclotomic.cyclotomic_polynomial.misses metric
+    from fusionwitt.cyclotomic import cyclotomic_polynomial
+
+    assert callable(getattr(cyclotomic_polynomial, "cache_info", None))
