@@ -419,7 +419,7 @@ def _cmd_witt_class(args) -> Report:
 def _cmd_witt_order(args) -> Report:
     mg = _load_metric(args.file, args.element_cap)
     cls = witt.pointed_witt_class(mg, cap=args.element_cap)
-    order = witt.class_order(cls, cap=args.order_cap)
+    order = witt.class_order(cls, cap=args.order_cap, element_budget=args.element_cap)
     report = Report(f"witt-order {args.file}")
     _class_section(report, cls)
     report.section("order", [str(order)], witt_order=order)

@@ -7,8 +7,8 @@ lcm of the value denominators (value: L q(x); pairing_row: L b(x, e_j));
 only q and b turn results back into Fractions.  The level, the Gram
 matrix and the Gauss sum are computed once per (immutable) object.
 Degenerate forms are representable (the radical can be nontrivial);
-nondegeneracy is decided by exhaustive radical enumeration and recorded
-on the object.
+nondegeneracy is decided in integers from the Gram matrix, without
+enumerating the group, and recorded on the object.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .caps import ELEMENT_CAP
 from .cyclotomic import CycInt
 from .errors import ConsistencyError, ValidationError
 from .fusion_ring import Violation
+from .snf import lattice_index
 
 
 @dataclass(frozen=True)
@@ -239,27 +240,17 @@ def metric_group(orders, diag, cross=(), cap: int | None = None) -> MetricGroup:
         raise ValidationError(violations)
     orders = tuple(int(d) for d in orders)
     group = FiniteAbelianGroup(orders)
+    ELEMENT_CAP.check(group.size, f"group of order {group.size}", cap)
     form = QuadraticForm(
         diag=tuple(_mod1(v) for v in diag),
         cross=_cross_matrix(len(orders), cross),
     )
     mg = MetricGroup(group=group, form=form, nondegenerate=True)
-    nondeg = not any(any(x) for x in _radical_scan(mg, cap))
-    return MetricGroup(group=group, form=form, nondegenerate=nondeg)
-
-
-def _radical_scan(mg: MetricGroup, cap: int | None):
-    """Lazily yield the radical in element order, zero first, so the
-    nondegeneracy check stops at the first nonzero radical element."""
-    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
-    for x in mg.group.elements():
-        if not any(mg.pairing_row(x)):
-            yield x
-
-
-def radical(mg: MetricGroup, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All x with b(x, -) identically zero; [zero] iff nondegenerate."""
-    return list(_radical_scan(mg, cap))
+    # the radical is the kernel of x -> G x mod L on A, whose image in
+    # (Z/L)^k has order L^k / [Z^k : G Z^k + L Z^k]
+    if mg.level ** len(orders) == mg.size * lattice_index(mg.gram, mg.level):
+        return mg
+    return MetricGroup(group=group, form=form, nondegenerate=False)
 
 
 # -------------------------------------------------------------- gauss sums
@@ -364,8 +355,12 @@ def sylow_decompose(mg: MetricGroup, cap: int | None = None) -> dict[int, Metric
     """
     if not mg.nondegenerate:
         raise ValueError("sylow decomposition expects a nondegenerate metric group")
+    primes = factorize(mg.size)
+    if len(primes) == 1:
+        # a p-group is its own Sylow part
+        return {p: mg for p in primes}
     parts: dict[int, MetricGroup] = {}
-    for p in factorize(mg.size):
+    for p in primes:
         orders = []
         gens = []
         for i, d in enumerate(mg.orders):

@@ -3,7 +3,9 @@
 Used to rebase finite abelian group presentations: given a relation
 matrix R for generators g_1..g_k, the decomposition S = U R V yields new
 generators h_j = sum_i Vinv[j][i] g_i whose only relations are
-s_j h_j = 0 with s_1 | s_2 | ... ascending.  All arithmetic is exact.
+s_j h_j = 0 with s_1 | s_2 | ... ascending.  lattice_index needs no
+transforms: it gives the index of a row lattice plus modulus Z^c, from
+which metric groups decide nondegeneracy.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -163,6 +165,39 @@ def _verify(mat: list[list[int]], form: SmithForm) -> None:
         d0, d1 = form.diagonal[i], form.diagonal[i + 1]
         if d0 and d1 % d0 != 0 or (d0 == 0 and d1 != 0):
             raise AssertionError("diagonal divisibility chain broken")
+
+
+def lattice_index(mat: list[list[int]], modulus: int) -> int:
+    """[Z^c : R + modulus Z^c] for the row lattice R of an r x c matrix.
+
+    Equals the product of gcd(s_i, modulus) over the Smith diagonal of
+    mat (s_i = 0 past its end), found by row reduction without
+    transforms: the rows modulus * e_i join the rows of mat, each column
+    is folded into one pivot row by Euclid's algorithm on whole rows and
+    dropped with it, and each row it changes is reduced mod modulus,
+    which the untouched rows modulus * e_i of the later columns allow.
+    """
+    c = len(mat[0]) if mat else 0
+    rows = [[x % modulus for x in row] for row in mat]
+    rows += [[modulus * (i == j) for j in range(c)] for i in range(c)]
+    index = 1
+    for j in range(c):
+        pivot, rest = None, []
+        for row in rows:
+            if not row[j]:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                while row[j]:
+                    f = pivot[j] // row[j]
+                    pivot, row = row, [x - f * y for x, y in zip(pivot, row)]
+                rest.append([x % modulus for x in row])
+        index *= abs(pivot[j])
+        rows = rest
+    if modulus**c % index:
+        raise AssertionError("lattice index does not divide modulus**columns")
+    return index
 
 
 def integer_kernel(mat: list[list[int]]) -> list[list[int]]:

@@ -252,13 +252,13 @@ def class_inverse(c: PointedWittClass, cap: int | None = None) -> PointedWittCla
     return PointedWittClass(parts=tuple((p, inverse_form(r, cap=cap)) for p, r in c.parts))
 
 
-def class_order(c: PointedWittClass, cap: int | None = None) -> int:
+def class_order(c: PointedWittClass, cap: int | None = None, element_budget: int | None = None) -> int:
     """Smallest n >= 1 with c**n the identity class."""
     n, acc = 1, c
     while not acc.is_identity():
         n += 1
         ORDER_CAP.check(n, "class order", cap)
-        acc = class_multiply(acc, c)
+        acc = class_multiply(acc, c, cap=element_budget)
     return n
 
 
@@ -368,11 +368,11 @@ def word_is_identity(w: WittWord) -> bool:
     return w.ising_exponent == 0 and w.pointed.is_identity()
 
 
-def word_order(w: WittWord, cap: int | None = None) -> int:
+def word_order(w: WittWord, cap: int | None = None, element_budget: int | None = None) -> int:
     """Smallest n >= 1 with w**n the identity word."""
     n, acc = 1, w
     while not word_is_identity(acc):
         n += 1
         ORDER_CAP.check(n, "word order", cap)
-        acc = word_compose(acc, w)
+        acc = word_compose(acc, w, cap=element_budget)
     return n

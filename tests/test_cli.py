@@ -276,12 +276,14 @@ CAP_CASES = [
     ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-class", "z8_sixteenth.mg"]),
     ("FUSIONWITT_ORDER_CAP", "--order-cap", ["witt-order", "semion.mg"]),
     ("FUSIONWITT_CLOSURE_CAP", "--closure-cap", ["witt-subgroup", "z3_third.mg"]),
+    ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-order", "semion.mg"]),
 ]
 
 
 @pytest.mark.parametrize("env,flag,argv", CAP_CASES)
 def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv):
-    # each job counts more than 3 and at most 8: |A| = 8, class order 8, 4 classes
+    # each job counts more than 3 and at most 16: |A| = 8, class order 8,
+    # 4 classes, and |A| up to 16 in the products of semion's class order
     argv = [argv[0]] + [corpus.path(name) for name in argv[1:]]
     code, _, err = run_cli(capsys, *argv, flag, "3")
     assert code == 1
@@ -289,7 +291,7 @@ def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv
     monkeypatch.setenv(env, "3")
     code, _, env_err = run_cli(capsys, *argv)
     assert (code, env_err) == (1, err)
-    code, _, _ = run_cli(capsys, *argv, flag, "8")
+    code, _, _ = run_cli(capsys, *argv, flag, "16")
     assert code == 0
 
 

@@ -10,7 +10,10 @@ The corpus never goes above order 8, so LARGE_LEVEL_STDOUT also pins
 witt-class and witt-order on three forms of order 2^12 and 3^7, whose
 Gauss sums live in Z[zeta_N] for N = 8192 and 5832.  Their .mg text is
 in LARGE_LEVEL_FORMS, written to a temporary directory rather than the
-corpus, which other checks enumerate.
+corpus, which other checks enumerate.  VERDICT_STDOUT pins validate's
+nondegeneracy verdict the same way on six forms outside the corpus:
+degenerate and nondegenerate, with cross terms, mixed primes, and Z_64
+with q = u/64 and u/128.
 
 Re-record with `PYTHONPATH=src python3 tests/test_golden.py` only for a
 deliberate change of output, and say in CHANGES.md why it changed.
@@ -212,18 +215,48 @@ witt_order=4
 """,
 }
 
+VERDICT_FORMS = {
+    "z64_sixtyfourth.mg": "orders 64\nq 1/64\n",
+    "z64_three_128ths.mg": "orders 64\nq 3/128\n",
+    "z2_z4_cross.mg": "orders 2 4\nq 1/4 1/8\nb 1 2 1/2\n",
+    "z3_z9_cross.mg": "orders 3 9\nq 0 1/9\nb 1 2 1/3\n",
+    "z6_z12_cross.mg": "orders 6 12\nq 1/12 1/24\nb 1 2 1/6\n",
+    "z2_z6_z12_cross.mg": "orders 2 6 12\nq 1/4 1/12 1/24\nb 1 2 1/2\nb 2 3 1/6\n",
+}
+
+# stdout of each case, every one exiting 0
+VERDICT_STDOUT = {
+    "validate z64_sixtyfourth.mg --format text": "validate z64_sixtyfourth.mg\n===========================\n\nresult\n  valid\n\ndegeneracy\n  degenerate\n",
+    "validate z64_sixtyfourth.mg --format machine": "kind=metric\nvalid=true\nviolation_count=0\nnondegenerate=false\n",
+    "validate z64_three_128ths.mg --format text": "validate z64_three_128ths.mg\n============================\n\nresult\n  valid\n\ndegeneracy\n  nondegenerate\n",
+    "validate z64_three_128ths.mg --format machine": "kind=metric\nvalid=true\nviolation_count=0\nnondegenerate=true\n",
+    "validate z2_z4_cross.mg --format text": "validate z2_z4_cross.mg\n=======================\n\nresult\n  valid\n\ndegeneracy\n  nondegenerate\n",
+    "validate z2_z4_cross.mg --format machine": "kind=metric\nvalid=true\nviolation_count=0\nnondegenerate=true\n",
+    "validate z3_z9_cross.mg --format text": "validate z3_z9_cross.mg\n=======================\n\nresult\n  valid\n\ndegeneracy\n  degenerate\n",
+    "validate z3_z9_cross.mg --format machine": "kind=metric\nvalid=true\nviolation_count=0\nnondegenerate=false\n",
+    "validate z6_z12_cross.mg --format text": "validate z6_z12_cross.mg\n========================\n\nresult\n  valid\n\ndegeneracy\n  nondegenerate\n",
+    "validate z6_z12_cross.mg --format machine": "kind=metric\nvalid=true\nviolation_count=0\nnondegenerate=true\n",
+    "validate z2_z6_z12_cross.mg --format text": "validate z2_z6_z12_cross.mg\n===========================\n\nresult\n  valid\n\ndegeneracy\n  degenerate\n",
+    "validate z2_z6_z12_cross.mg --format machine": "kind=metric\nvalid=true\nviolation_count=0\nnondegenerate=false\n",
+}
+
 
 @pytest.fixture(scope="module")
-def large_level_dir(tmp_path_factory) -> str:
-    directory = tmp_path_factory.mktemp("large_level")
-    for name, text in LARGE_LEVEL_FORMS.items():
+def forms_dir(tmp_path_factory) -> str:
+    directory = tmp_path_factory.mktemp("forms")
+    for name, text in {**LARGE_LEVEL_FORMS, **VERDICT_FORMS}.items():
         (directory / name).write_text(text, encoding="utf-8")
     return str(directory)
 
 
 @pytest.mark.parametrize("case", LARGE_LEVEL_STDOUT)
-def test_large_level_output_matches_golden(large_level_dir, case):
-    assert run_case(case, large_level_dir) == {"code": 0, "stdout": LARGE_LEVEL_STDOUT[case]}
+def test_large_level_output_matches_golden(forms_dir, case):
+    assert run_case(case, forms_dir) == {"code": 0, "stdout": LARGE_LEVEL_STDOUT[case]}
+
+
+@pytest.mark.parametrize("case", VERDICT_STDOUT)
+def test_nondegeneracy_verdict_matches_golden(forms_dir, case):
+    assert run_case(case, forms_dir) == {"code": 0, "stdout": VERDICT_STDOUT[case]}
 
 
 if __name__ == "__main__":

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_metric
+from fusionwitt import cli, corpus
 from fusionwitt.errors import CapExceededError, ValidationError
 from fusionwitt.metric_group import (
+    FiniteAbelianGroup,
     direct_sum,
     gauss_sum,
     inverse_form,
     metric_group,
-    radical,
     sylow_decompose,
     validate_metric,
 )
@@ -101,18 +102,38 @@ def test_polarization_identity(hyperbolic3):
     assert hyperbolic3.b((1, 0), (0, 1)) == F(1, 3)
 
 
+def radical_oracle(mg):
+    """Every x with b(x, -) identically zero, found element by element:
+    the scan that the lattice index in metric_group() replaces."""
+    return [x for x in mg.group.elements() if not any(mg.pairing_row(x))]
+
+
 def test_radical_detects_degeneracy():
     fermion = load_metric("z2_fermion_degenerate.mg")
     assert not fermion.nondegenerate
-    assert radical(fermion) == [(0,), (1,)]
+    assert radical_oracle(fermion) == [(0,), (1,)]
     zero_form = metric_group((2,), [F(0)])
     assert not zero_form.nondegenerate
 
 
 def test_radical_trivial_when_nondegenerate(semion, hyperbolic3):
     assert semion.nondegenerate
-    assert radical(semion) == [(0,)]
-    assert radical(hyperbolic3) == [(0, 0)]
+    assert radical_oracle(semion) == [(0,)]
+    assert radical_oracle(hyperbolic3) == [(0, 0)]
+
+
+def test_building_a_metric_group_enumerates_nothing(monkeypatch, semion, z3_third):
+    names = corpus.names(".mg")
+    forms = [cli.parse_metric_file(corpus.path(name)) for name in names]
+    forms.append(((3, 3**9), [F(1, 3), F(1, 3**9)], {}))
+    enumerations = []
+    original = FiniteAbelianGroup.elements
+    monkeypatch.setattr(FiniteAbelianGroup, "elements", lambda g: enumerations.append(g) or original(g))
+    built = [metric_group(*form) for form in forms]
+    assert [mg.nondegenerate for mg in built] == [name != "z2_fermion_degenerate.mg" for name in names] + [True]
+    sylow_decompose(built[-1])
+    sylow_decompose(direct_sum(semion, z3_third))
+    assert enumerations == []
 
 
 # ------------------------------------------------------------- gauss sums
@@ -300,7 +321,9 @@ def test_integer_evaluator_matches_fraction_oracle(form):
     assert all(mg.q(x) == q[x] for x in elements)
     pairing = {(x, y): (q[g.add(x, y)] - q[x] - q[y]) % 1 for x in elements for y in elements}
     assert all(mg.b(x, y) == pairing[x, y] for x in elements for y in elements)
-    assert radical(mg) == [x for x in elements if all(pairing[x, y] == 0 for y in elements)]
+    rad = [x for x in elements if all(pairing[x, y] == 0 for y in elements)]
+    assert radical_oracle(mg) == rad
+    assert mg.nondegenerate == (rad == [g.zero()])
     isotropic = [x for x in elements if any(x) and q[x] == 0]
     assert isotropic_elements(mg) == isotropic
     numeric = sum(cmath.exp(2j * cmath.pi * v) for v in q.values())

@@ -1,7 +1,9 @@
+from math import gcd, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionwitt.snf import integer_kernel, mat_mul, rebase_presentation, smith_normal_form
+from fusionwitt.snf import integer_kernel, lattice_index, mat_mul, rebase_presentation, smith_normal_form
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
@@ -42,6 +44,23 @@ def test_kernel_vectors_annihilate(mat):
     for z in integer_kernel(mat):
         col = [[x] for x in z]
         assert all(v == [0] for v in mat_mul(mat, col))
+
+
+@settings(max_examples=300)
+@given(matrices, st.integers(min_value=1, max_value=72))
+def test_lattice_index_matches_smith_diagonal(mat, modulus):
+    # [Z^c : rows + m Z^c] is the product of gcd(s_i, m) over the Smith
+    # diagonal, zero-padded to the c columns
+    cols = len(mat[0])
+    diagonal = smith_normal_form(mat).diagonal + (0,) * (cols - min(len(mat), cols))
+    assert lattice_index(mat, modulus) == prod(gcd(s, modulus) for s in diagonal)
+
+
+def test_lattice_index_examples():
+    assert lattice_index([[2, 0], [0, 3]], 6) == 6
+    assert lattice_index([[0, 0], [0, 0]], 4) == 16
+    assert lattice_index([[1, 5], [5, 1]], 8) == 8
+    assert lattice_index([], 5) == 1
 
 
 def test_kernel_of_injective_map_is_trivial():

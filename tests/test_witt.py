@@ -322,10 +322,10 @@ def test_witt_class_computes_each_gauss_sum_once(monkeypatch, capsys):
     sums = gauss_computations(monkeypatch)
     assert cli.main(["witt-class", corpus.path("z8_sixteenth.mg")]) == 0
     assert "reduce by (4,)" in capsys.readouterr().out
-    # the input Z8, its Sylow 2-part (an equal group built separately) and
-    # the Z2 after one step; the step's argument and the part's argument
-    # are read back, not computed again
-    assert len(sums) == 3
+    # the input Z8, which is its own Sylow 2-part, and the Z2 after one
+    # step; the step's argument and the part's argument are read back, not
+    # computed again
+    assert len(sums) == 2
 
 
 # ------------------------------------------------------------------ words
