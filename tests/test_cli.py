@@ -279,11 +279,19 @@ CAP_CASES = [
     ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-order", "semion.mg"]),
 ]
 
+# the cap each job passes at, by flag and command: |A| = 8, class order 8,
+# 4 classes, and products of order 16 in semion's class-order search
+PASSING_CAP = {
+    ("--element-cap", "witt-class"): 8,
+    ("--order-cap", "witt-order"): 8,
+    ("--closure-cap", "witt-subgroup"): 8,
+    ("--element-cap", "witt-order"): 16,
+}
+
 
 @pytest.mark.parametrize("env,flag,argv", CAP_CASES)
 def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv):
-    # each job counts more than 3 and at most 16: |A| = 8, class order 8,
-    # 4 classes, and |A| up to 16 in the products of semion's class order
+    # each job counts more than 3
     argv = [argv[0]] + [corpus.path(name) for name in argv[1:]]
     code, _, err = run_cli(capsys, *argv, flag, "3")
     assert code == 1
@@ -291,7 +299,7 @@ def test_cap_refusal_names_env_var_and_flag(capsys, monkeypatch, env, flag, argv
     monkeypatch.setenv(env, "3")
     code, _, env_err = run_cli(capsys, *argv)
     assert (code, env_err) == (1, err)
-    code, _, _ = run_cli(capsys, *argv, flag, "16")
+    code, _, _ = run_cli(capsys, *argv, flag, str(PASSING_CAP[flag, argv[0]]))
     assert code == 0
 
 

@@ -181,6 +181,16 @@ def test_class_order_cap(semion):
         class_order(pointed_witt_class(semion), cap=3)
 
 
+def test_order_searches_apply_the_element_budget(semion):
+    # semion's powers reach a group of order 16 before they reduce to the identity
+    c = pointed_witt_class(semion)
+    w = WittWord(pointed=c, ising_exponent=2)
+    for order, x in ((class_order, c), (word_order, w)):
+        with pytest.raises(CapExceededError, match="group of order 16 exceeds the element cap 15"):
+            order(x, element_budget=15)
+        assert order(x, element_budget=16) == 8
+
+
 def test_generated_subgroup_z4(z3_third, z3_two_thirds):
     sub = generated_subgroup([pointed_witt_class(z3_third), pointed_witt_class(z3_two_thirds)])
     assert sub.order == 4
