@@ -92,25 +92,23 @@ def factor_pac(n: int, factors: dict[int, int] | None = None) -> Factorization |
 
 
 def factor_paqbc(n: int, factors: dict[int, int] | None = None) -> Factorization | None:
-    """n = p^a q^b c, c square-free and coprime to pq; search over prime
-    pairs dividing n, lexicographically smallest witness first.
+    """n = p^a q^b c, c square-free and coprime to pq, read off the
+    primes whose square divides n.
 
-    Degenerates to the factor_pac witness whenever one prime suffices.
+    With at most one such prime this is the factor_pac witness; with
+    exactly two, they are p < q; with three or more no witness exists.
     """
     if n < 1:
         raise ValueError(f"expected a positive dimension, got {n}")
     factors = factors if factors is not None else factorize(n)
-    single = factor_pac(n, factors)
-    if single is not None:
-        return single
-    primes = sorted(factors)
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            a, b = factors[p], factors[q]
-            c = n // (p**a * q**b)
-            if is_square_free(c):
-                return Factorization(n=n, p=p, a=a, q=q, b=b, c=c)
-    return None
+    squared = [p for p, e in sorted(factors.items()) if e >= 2]
+    if len(squared) <= 1:
+        return factor_pac(n, factors)
+    if len(squared) > 2:
+        return None
+    p, q = squared
+    a, b = factors[p], factors[q]
+    return Factorization(n=n, p=p, a=a, q=q, b=b, c=n // (p**a * q**b))
 
 
 def factorizes_oracle(n: int, factors: dict[int, int] | None = None) -> bool:
@@ -281,9 +279,9 @@ class ScanReport:
 def scan_exceptions(limit: int, odd_only: bool = False) -> ScanReport:
     """Exhaustive scan of n < limit for missing factorizations.
 
-    Every candidate goes through factor_paqbc itself (fed by a sieve
-    for speed), so the list is exactly the set where the witness search
-    fails.
+    Every candidate with three or more squared primes goes through
+    factor_paqbc itself (fed by a sieve for speed), so the list is
+    exactly the set where it finds no witness.
     """
     if not 2 <= limit <= FACTOR_LIMIT:
         raise ValueError(f"scan limit must lie in [2, {FACTOR_LIMIT}]")
@@ -292,8 +290,8 @@ def scan_exceptions(limit: int, odd_only: bool = False) -> ScanReport:
     exceptions = []
     for n in range(1, limit, step):
         factors = factorize_with_sieve(n, sieve)
-        # quick reject: a factorization exists iff at most two primes
-        # appear squared; confirm failures with the witness search
+        # factor_paqbc finds a witness iff at most two primes appear
+        # squared; count them here so the common case builds no witness
         if sum(1 for e in factors.values() if e >= 2) <= 2:
             continue
         if factor_paqbc(n, factors) is None:

@@ -1,9 +1,11 @@
 """Witt classes of metric groups by anisotropic reduction.
 
 The class of a nondegenerate metric group is represented by its
-completely anisotropic Sylow parts: reduce_once quotients x-perp by an
-isotropic x, and uniqueness of the anisotropic kernel makes class
-equality decidable by exact isomorphism search on the representatives.
+completely anisotropic Sylow parts: reduce_once quotients x-perp by the
+first isotropic x in element order, reading x-perp and the quotient off
+integer lattices rather than the group's elements, and uniqueness of the
+anisotropic kernel makes class equality decidable by exact isomorphism
+search on the representatives.
 
 Words combine a pointed class with a formal exponent on the Ising
 generator; word equality is a formal direct-product equality, which is
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from typing import Iterator
 
 from .arith import cayley_invariants, group_name
 from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
@@ -24,27 +26,33 @@ from .metric_group import (
     direct_sum,
     gauss_sum,
     inverse_form,
-    metric_group,
     sylow_decompose,
     _metric_from_generators,
 )
 from .snf import integer_kernel
 
 
-def isotropic_elements(mg: MetricGroup, cap: int | None = None) -> list[tuple[int, ...]]:
-    """Nonzero x with q(x) = 0, in lexicographic order."""
+def isotropic_elements(mg: MetricGroup, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Nonzero x with q(x) = 0, lazily in lexicographic order.
+
+    The element cap is checked on the call; the group is enumerated only
+    as far as the caller reads.
+    """
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
-    return [x for x in mg.group.elements() if any(x) and mg.value(x) == 0]
+    return (x for x in mg.group.elements() if any(x) and mg.value(x) == 0)
 
 
 def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> MetricGroup:
     """Quotient x-perp / <x> with the induced form.
 
-    Requires mg nondegenerate and x a nonzero isotropic element.  The
-    result has order |A| / ord(x)**2, is nondegenerate, and keeps the
-    normalized Gauss sum: same argument, and |G|^2 = |A| on both sides.
-    Both sums are checked; each group computes its own once, so along a
-    reduction chain mg's sum is the one its producing step computed.
+    Requires mg nondegenerate and x a nonzero isotropic element.  x-perp
+    is the image of the lattice {y : L b(x, y) = 0 mod L}, the kernel of
+    the pairing row next to L with the last coordinate dropped, so no
+    element is enumerated.  The result has order |A| / ord(x)**2, is
+    nondegenerate, and keeps the normalized Gauss sum: same argument,
+    and |G|^2 = |A| on both sides.  Both sums are checked; each group
+    computes its own once, so along a reduction chain mg's sum is the
+    one its producing step computed.
     """
     if not mg.nondegenerate:
         raise ValueError("reduction needs a nondegenerate metric group")
@@ -52,42 +60,16 @@ def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> 
         raise ValueError("isotropic element must be nonzero")
     if mg.q(x) != 0:
         raise ValueError(f"q({x}) = {mg.q(x)} is nonzero")
-    group = mg.group
-    ord_x = group.element_order(x)
-    row, level = mg.pairing_row(x), mg.level
-    perp = [y for y in group.elements() if sum(map(mul, row, y)) % level == 0]
-    if len(perp) * ord_x != mg.size:
-        raise ConsistencyError("perp subgroup has unexpected order; degenerate pairing?")
-
-    # greedy spanning set of perp, deterministic in element order
-    span = {group.zero()}
-    gens: list[tuple[int, ...]] = []
-    for y in perp:
-        if y not in span:
-            gens.append(y)
-            reach = set(span)
-            for s in span:
-                acc = s
-                for _ in range(group.element_order(y)):
-                    acc = group.add(acc, y)
-                    reach.add(acc)
-            span = reach
-    if len(span) != len(perp):
-        raise ConsistencyError("spanning of perp failed")
+    orders = mg.orders
+    ord_x = mg.group.element_order(x)
+    gens = [tuple(a % d for a, d in zip(z, orders)) for z in integer_kernel([[*mg.pairing_row(x), mg.level]])]
 
     # relation lattice of the quotient: a is a relation iff
     # sum a_j gens_j lands in <x> modulo the ambient orders
-    m = len(group.orders)
-    t = len(gens)
-    if t == 0:
-        quotient = metric_group((), ())
-    else:
-        cols: list[list[int]] = [list(g) for g in gens] + [list(x)] + [
-            [group.orders[i] if r == i else 0 for r in range(m)] for i in range(m)
-        ]
-        w = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
-        relations = [z[:t] for z in integer_kernel(w)]
-        quotient = _metric_from_generators(mg, gens, relations, len(perp) // ord_x, cap=cap)
+    m = len(orders)
+    w = [[g[i] for g in gens] + [x[i]] + [d if r == i else 0 for r in range(m)] for i, d in enumerate(orders)]
+    relations = [z[: len(gens)] for z in integer_kernel(w)]
+    quotient = _metric_from_generators(mg, gens, relations, mg.size // ord_x**2, cap=cap)
 
     if quotient.size * ord_x * ord_x != mg.size:
         raise ConsistencyError("reduced group has wrong order")
@@ -109,28 +91,25 @@ class ReductionStep:
     argument: Fraction | None
 
 
-def anisotropic_reduction(mg: MetricGroup, choose=None, cap: int | None = None) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:
-    """Reduce until no isotropic element remains.
+def anisotropic_reduction(mg: MetricGroup, cap: int | None = None) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:
+    """Reduce by the lexicographically first isotropic element until none
+    remains, which makes the whole pipeline deterministic.
 
-    choose picks the isotropic element from the nonempty candidate list;
-    the default takes the lexicographically smallest, which makes the
-    whole pipeline deterministic.  The final form does not depend on the
-    choices (anisotropic kernel uniqueness); randomized tests rely on
-    exactly that.
+    The final form does not depend on which isotropic elements are taken
+    (anisotropic kernel uniqueness); randomized tests rely on exactly
+    that.
     """
-    choose = choose or (lambda candidates: candidates[0])
     steps = []
     current = mg
     while True:
-        candidates = isotropic_elements(current, cap=cap)
-        if not candidates:
+        x = next(isotropic_elements(current, cap=cap), None)
+        if x is None:
             return current, tuple(steps)
-        x = choose(candidates)
         reduced = reduce_once(current, x, cap=cap)
         steps.append(
             ReductionStep(
                 orders_before=current.orders,
-                chosen=tuple(x),
+                chosen=x,
                 orders_after=reduced.orders,
                 argument=gauss_sum(reduced, cap=cap).argument,
             )
@@ -162,10 +141,11 @@ class PointedWittClass:
 IDENTITY_CLASS = PointedWittClass(parts=())
 
 
-def pointed_witt_class(mg: MetricGroup, choose=None, cap: int | None = None) -> PointedWittClass:
+def pointed_witt_class(mg: MetricGroup, cap: int | None = None) -> PointedWittClass:
     """Witt class of a nondegenerate metric group.
 
-    Sylow-decomposes, reduces every part to its anisotropic kernel, and
+    Sylow-decomposes, reduces every part to its anisotropic kernel by
+    anisotropic_reduction, so the representatives are deterministic, and
     drops trivial parts.  For odd p the representative must have order
     1, p, or p**2; anything else is reported as an inconsistency.
     """
@@ -173,7 +153,7 @@ def pointed_witt_class(mg: MetricGroup, choose=None, cap: int | None = None) -> 
         raise ValueError("Witt class needs a nondegenerate metric group")
     parts = []
     for p, part in sorted(sylow_decompose(mg, cap=cap).items()):
-        rep, _ = anisotropic_reduction(part, choose=choose, cap=cap)
+        rep, _ = anisotropic_reduction(part, cap=cap)
         if rep.size == 1:
             continue
         if p != 2 and rep.size not in (p, p * p):

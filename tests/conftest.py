@@ -4,6 +4,7 @@ import pytest
 
 from fusionwitt import cli, corpus
 from fusionwitt.metric_group import metric_group
+from fusionwitt.witt import isotropic_elements, reduce_once
 
 
 def load_ring(name):
@@ -13,6 +14,16 @@ def load_ring(name):
 def load_metric(name):
     orders, diag, cross = cli.parse_metric_file(corpus.path(name))
     return metric_group(orders, diag, cross)
+
+
+def random_reduction(mg, rng):
+    """Anisotropic reduction of mg, each step by rng.choice of the full
+    list of isotropic elements."""
+    while True:
+        candidates = list(isotropic_elements(mg))
+        if not candidates:
+            return mg
+        mg = reduce_once(mg, rng.choice(candidates))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusionwitt.arith import factorize_with_sieve, is_square_free, smallest_factor_sieve
 from fusionwitt.classifier import (
     Factorization,
     VerdictKind,
@@ -29,6 +30,31 @@ def test_factor_pac_examples():
     assert as_tuple(factor_pac(8)) == (2, 3, None, 0, 1)
     assert factor_pac(900) is None          # 2^2 3^2 5^2
     assert factor_pac(36) is None
+
+
+def pair_search(n, factors):
+    """factor_paqbc as a search: the factor_pac witness if there is one,
+    else the first prime pair, in lexicographic order, whose cofactor is
+    square-free."""
+    single = factor_pac(n, factors)
+    if single is not None:
+        return single
+    primes = sorted(factors)
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            a, b = factors[p], factors[q]
+            c = n // (p**a * q**b)
+            if is_square_free(c):
+                return Factorization(n=n, p=p, a=a, q=q, b=b, c=c)
+    return None
+
+
+def test_factor_paqbc_witness_matches_pair_search():
+    limit = 100_000
+    sieve = smallest_factor_sieve(limit)
+    for n in range(1, limit):
+        factors = factorize_with_sieve(n, sieve)
+        assert factor_paqbc(n, factors) == pair_search(n, factors), n
 
 
 def test_factor_paqbc_examples():

@@ -7,8 +7,9 @@ witt-subgroup closure of the six corpus 2-groups, the slowest case and
 the only one that pins the 2-primary closure with cross terms.
 
 The corpus never goes above order 8, so LARGE_LEVEL_STDOUT also pins
-witt-class and witt-order on three forms of order 2^12 and 3^7, whose
-Gauss sums live in Z[zeta_N] for N = 8192 and 5832.  Their .mg text is
+witt-class and witt-order on five forms of order 2^12, 3^7, 2^15 and
+3^10, whose Gauss sums live in Z[zeta_N] for N = 8192, 5832, 65536 and
+157464.  Their .mg text is
 in LARGE_LEVEL_FORMS, written to a temporary directory rather than the
 corpus, which other checks enumerate.  VERDICT_STDOUT pins validate's
 nondegeneracy verdict the same way on six forms outside the corpus:
@@ -80,6 +81,8 @@ LARGE_LEVEL_FORMS = {
     "z4096.mg": "orders 4096\nq 1/8192\n",
     "z2187.mg": "orders 2187\nq 1/2187\n",
     "z3_z729.mg": "orders 3 729\nq 1/3 1/729\n",
+    "z32768.mg": "orders 32768\nq 1/65536\n",
+    "z3_z19683.mg": "orders 3 19683\nq 1/3 1/19683\n",
 }
 
 # stdout of each case, every one exiting 0
@@ -212,6 +215,92 @@ order
     "witt-order z3_z729.mg --format machine": """\
 class_identity=false
 witt_order=4
+""",
+    "witt-class z32768.mg --format text": """\
+witt-class z32768.mg
+====================
+
+input
+  orders: (32768)  |A| = 32768
+  gauss sum: |G|^2 = 32768, argument = 1/8 of a turn
+
+prime 2
+  part orders (32768), argument 1/8
+  reduce by (256,): (32768) -> (2), argument 1/8
+  anisotropic: orders (2) q (1/4)
+  gauss argument preserved: true
+
+class
+  p=2 orders (2) q (1/4)
+""",
+    "witt-class z32768.mg --format machine": """\
+order=32768
+gauss_magnitude_squared=32768
+gauss_argument=1/8
+primes=2
+part_2_orders=32768
+part_2_steps=1
+part_2_anisotropic_orders=2
+part_2_anisotropic_q=1/4
+part_2_argument=1/8
+class_identity=false
+""",
+    "witt-order z32768.mg --format text": """\
+witt-order z32768.mg
+====================
+
+class
+  p=2 orders (2) q (1/4)
+
+order
+  8
+""",
+    "witt-order z32768.mg --format machine": """\
+class_identity=false
+witt_order=8
+""",
+    "witt-class z3_z19683.mg --format text": """\
+witt-class z3_z19683.mg
+=======================
+
+input
+  orders: (3,19683)  |A| = 59049
+  gauss sum: |G|^2 = 59049, argument = 1/2 of a turn
+
+prime 3
+  part orders (3,19683), argument 1/2
+  reduce by (0, 243): (3,19683) -> (3,3), argument 1/2
+  anisotropic: orders (3,3) q (1/3 1/3)
+  gauss argument preserved: true
+
+class
+  p=3 orders (3,3) q (1/3 1/3)
+""",
+    "witt-class z3_z19683.mg --format machine": """\
+order=59049
+gauss_magnitude_squared=59049
+gauss_argument=1/2
+primes=3
+part_3_orders=3,19683
+part_3_steps=1
+part_3_anisotropic_orders=3,3
+part_3_anisotropic_q=1/3,1/3
+part_3_argument=1/2
+class_identity=false
+""",
+    "witt-order z3_z19683.mg --format text": """\
+witt-order z3_z19683.mg
+=======================
+
+class
+  p=3 orders (3,3) q (1/3 1/3)
+
+order
+  2
+""",
+    "witt-order z3_z19683.mg --format machine": """\
+class_identity=false
+witt_order=2
 """,
 }
 

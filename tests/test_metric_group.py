@@ -325,7 +325,7 @@ def test_integer_evaluator_matches_fraction_oracle(form):
     assert radical_oracle(mg) == rad
     assert mg.nondegenerate == (rad == [g.zero()])
     isotropic = [x for x in elements if any(x) and q[x] == 0]
-    assert isotropic_elements(mg) == isotropic
+    assert list(isotropic_elements(mg)) == isotropic
     numeric = sum(cmath.exp(2j * cmath.pi * v) for v in q.values())
     gs = gauss_sum(mg)
     assert abs(abs(numeric) ** 2 - gs.magnitude_squared) < 1e-8

@@ -1,21 +1,32 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import load_metric
+from conftest import load_metric, random_reduction
 from fusionwitt import cli, corpus, witt
 from fusionwitt.arith import cayley_invariants
 from fusionwitt.caps import CLOSURE_CAP
 from fusionwitt.cyclotomic import CycInt
-from fusionwitt.errors import CapExceededError
-from fusionwitt.metric_group import direct_sum, gauss_sum, metric_group
+from fusionwitt.errors import CapExceededError, ConsistencyError
+from fusionwitt.metric_group import (
+    FiniteAbelianGroup,
+    MetricGroup,
+    _metric_from_generators,
+    direct_sum,
+    gauss_sum,
+    metric_group,
+    sylow_decompose,
+)
+from fusionwitt.snf import integer_kernel
 from fusionwitt.witt import (
     IDENTITY_CLASS,
     IDENTITY_WORD,
     ISING_GENERATOR_WORD,
+    PointedWittClass,
     WittSubgroup,
     WittWord,
     anisotropic_reduction,
@@ -43,8 +54,8 @@ F = Fraction
 
 
 def test_isotropic_elements_listing(semion, hyperbolic3):
-    assert isotropic_elements(semion) == []
-    iso = isotropic_elements(hyperbolic3)
+    assert list(isotropic_elements(semion)) == []
+    iso = list(isotropic_elements(hyperbolic3))
     assert (1, 0) in iso and (0, 1) in iso
     assert all(hyperbolic3.q(x) == 0 and any(x) for x in iso)
 
@@ -76,6 +87,89 @@ def test_anisotropic_reduction_fixes_anisotropic(semion):
     rep, steps = anisotropic_reduction(semion)
     assert rep is semion
     assert steps == ()
+
+
+def reduce_once_oracle(mg, x):
+    """x-perp / <x> by scanning: x-perp is found by testing every element,
+    spanned greedily in element order, and quotiented by its relation
+    lattice with x adjoined."""
+    group = mg.group
+    ord_x = group.element_order(x)
+    row, level = mg.pairing_row(x), mg.level
+    perp = [y for y in group.elements() if sum(a * b for a, b in zip(row, y)) % level == 0]
+    if len(perp) * ord_x != mg.size:
+        raise ConsistencyError("perp subgroup has unexpected order; degenerate pairing?")
+    span = {group.zero()}
+    gens = []
+    for y in perp:
+        if y not in span:
+            gens.append(y)
+            reach = set(span)
+            for s in span:
+                acc = s
+                for _ in range(group.element_order(y)):
+                    acc = group.add(acc, y)
+                    reach.add(acc)
+            span = reach
+    if len(span) != len(perp):
+        raise ConsistencyError("spanning of perp failed")
+    m, t = len(group.orders), len(gens)
+    if t == 0:
+        return metric_group((), ())
+    cols = [list(g) for g in gens] + [list(x)]
+    cols += [[group.orders[i] if r == i else 0 for r in range(m)] for i in range(m)]
+    w = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
+    relations = [z[:t] for z in integer_kernel(w)]
+    return _metric_from_generators(mg, gens, relations, len(perp) // ord_x)
+
+
+@st.composite
+def isotropic_forms(draw, max_size=4096):
+    """A nondegenerate form on 1-3 generators with random cross terms, over
+    p = 2, 3, 5, 7 or mixed primes, |A| <= max_size, and a random nonzero
+    isotropic element of it."""
+    primes = draw(st.sampled_from([(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 7), (2, 3, 5)]))
+    orders = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = (orders[-1] if orders else 1) * prod(p ** draw(st.integers(0, 2)) for p in primes)
+        if d == 1:
+            d = primes[0]
+        if prod(orders) * d > max_size:
+            break
+        orders.append(d)
+    diag = [F(draw(st.integers(0, 2 * d - 1)), 2 * d) if d % 2 == 0 else F(draw(st.integers(0, d - 1)), d)
+            for d in orders]
+    cross = {}
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            cross[(i, j)] = F(draw(st.integers(0, g - 1)), g)
+    mg = metric_group(orders, diag, cross)
+    assume(mg.nondegenerate)
+    isotropic = list(isotropic_elements(mg))
+    assume(isotropic)
+    return mg, draw(st.sampled_from(isotropic))
+
+
+@settings(max_examples=300, deadline=None)
+@given(isotropic_forms())
+def test_reduce_once_matches_scan_oracle(case):
+    mg, x = case
+    new, old = reduce_once(mg, x), reduce_once_oracle(mg, x)
+    assert new.orders == old.orders
+    assert gauss_sum(new).argument == gauss_sum(old).argument
+    assert metric_iso(new, old) is not None
+
+
+def test_reduce_once_representative_may_differ_from_the_scan():
+    # the kernel generators of x-perp rebase to another, isometric
+    # representative than the greedily spanned ones
+    mg = metric_group((5, 5, 5), (F(3, 5), F(3, 5), F(4, 5)), {(0, 1): F(1, 5), (0, 2): F(4, 5)})
+    x = next(isotropic_elements(mg))
+    new, old = reduce_once(mg, x), reduce_once_oracle(mg, x)
+    assert (new.orders, new.form.diag) == ((5,), (F(3, 5),))
+    assert (old.orders, old.form.diag) == ((5,), (F(2, 5),))
+    assert metric_iso(new, old) is not None
 
 
 def test_anisotropic_reduction_of_z8():
@@ -277,7 +371,8 @@ def test_randomized_choices_reach_the_same_class():
     baseline = pointed_witt_class(tower)
     for seed in range(5):
         rng = random.Random(seed)
-        cls = pointed_witt_class(tower, choose=rng.choice)
+        parts = [(p, random_reduction(part, rng)) for p, part in sorted(sylow_decompose(tower).items())]
+        cls = PointedWittClass(parts=tuple((p, rep) for p, rep in parts if rep.size > 1))
         assert class_eq(cls, baseline)
 
 
@@ -326,6 +421,41 @@ def test_reduction_chain_computes_one_gauss_sum_per_group(monkeypatch, build):
     _, steps = anisotropic_reduction(mg)
     assert steps
     assert len(sums) == len(steps) + 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: load_metric("z8_sixteenth.mg"),
+        lambda: load_metric("hyperbolic3.mg"),
+        lambda: direct_sum(load_metric("z4_eighth.mg"), load_metric("z2z2_hyperbolic.mg")),
+        lambda: metric_group((3, 729), (F(1, 3), F(1, 729))),
+    ],
+    ids=["z8_sixteenth", "hyperbolic3", "z4_eighth+z2z2_hyperbolic", "z3_z729"],
+)
+def test_reduce_once_does_not_enumerate_its_input(monkeypatch, build):
+    mg = build()
+    x = next(isotropic_elements(mg))
+    gauss_sum(mg)
+    enumerations = count_calls(monkeypatch, FiniteAbelianGroup, "elements")
+    reduce_once(mg, x)
+    assert enumerations  # the quotient's Gauss sum enumerates the quotient
+    assert not any(group is mg.group for group, in enumerations)
+
+
+@pytest.mark.parametrize(
+    "name, text, budget",
+    [("z32768.mg", "orders 32768\nq 1/65536\n", 34000), ("z3_z19683.mg", "orders 3 19683\nq 1/3 1/19683\n", 60000)],
+)
+def test_witt_class_value_calls_within_budget(monkeypatch, tmp_path, name, text, budget):
+    # the Gauss sum of the input takes one value per element; the first
+    # isotropic element lies early in element order, and x-perp is read
+    # off a lattice, so little else is evaluated
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    values = count_calls(monkeypatch, MetricGroup, "value")
+    assert cli.main(["witt-class", "--format", "machine", str(path)]) == 0
+    assert len(values) <= budget
 
 
 def test_witt_class_computes_each_gauss_sum_once(monkeypatch, capsys):
