@@ -1,14 +1,17 @@
 """Finite abelian groups with quadratic forms into Q/Z, all exact.
 
 A metric group is stored in invariant-factor form d_1 | d_2 | ... | d_k
-with the form given by its Fraction values on the generators plus the
-bilinear cross terms.  It is evaluated in integers over its level L, the
-lcm of the value denominators (value: L q(x); pairing_row: L b(x, e_j));
-only q and b turn results back into Fractions.  The level, the Gram
-matrix and the Gauss sum are computed once per (immutable) object.
-Degenerate forms are representable (the radical can be nontrivial);
-nondegeneracy is decided in integers from the Gram matrix, without
-enumerating the group, and recorded on the object.
+and held in integers: its level L, the lcm of the denominators of the
+values q(e_i) and b(e_i, e_j), and the Gram matrix G_ij = L b(e_i, e_j)
+with the diagonal kept as 2 L q(e_i).  Every constructor ends in one
+integer constructor, which checks the chain and the congruences as
+integer congruences mod L and decides nondegeneracy from the Gram
+matrix, without enumerating the group.  Fractions appear only at the
+edges: metric_group() and validate_metric() read Fraction input, and
+q, b and the derived form hand values back out.  The Gauss sum is
+computed once per (immutable) object.  Degenerate forms are
+representable (the radical can be nontrivial); nondegeneracy is
+recorded on the object.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .caps import ELEMENT_CAP
 from .cyclotomic import CycInt
 from .errors import ConsistencyError, ValidationError
 from .fusion_ring import Violation
-from .snf import lattice_index
+from .snf import lattice_index, mat_mul, rebase_presentation
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,13 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class MetricGroup:
+    """level L is the lcm of the denominators of q(e_i) and b(e_i, e_j);
+    gram holds G_ij = L b(e_i, e_j) in [0, L), with the diagonal kept as
+    2 L q(e_i) in [0, 2 L), so that x^T G x = 2 L q(x) exactly."""
+
     group: FiniteAbelianGroup
-    form: QuadraticForm
+    level: int
+    gram: tuple[tuple[int, ...], ...]
     nondegenerate: bool
 
     @property
@@ -94,18 +102,12 @@ class MetricGroup:
         return self.group.size
 
     @cached_property
-    def level(self) -> int:
-        """L, the lcm of the denominators of q(e_i) and b(e_i, e_j)."""
-        return lcm(*(v.denominator for row in (self.form.diag, *self.form.cross) for v in row))
-
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """G_ij = L b(e_i, e_j), with the diagonal kept as 2 L q(e_i), not
-        reduced mod L, so that x^T G x = 2 L q(x) exactly."""
+    def form(self) -> QuadraticForm:
+        """The generator values as Fractions, for printing and tests."""
         L = self.level
-        return tuple(
-            tuple(int(2 * qi * L) if i == j else int(v * L) for j, v in enumerate(row))
-            for i, (qi, row) in enumerate(zip(self.form.diag, self.form.cross))
+        return QuadraticForm(
+            diag=tuple(Fraction(row[i] // 2, L) for i, row in enumerate(self.gram)),
+            cross=tuple(tuple(Fraction(0 if i == j else c, L) for j, c in enumerate(row)) for i, row in enumerate(self.gram)),
         )
 
     def value(self, x) -> int:
@@ -154,7 +156,7 @@ class MetricGroup:
             # value of G rotated back is +-|G|, and |G| >= 1 dwarfs float error
             rotated = g.numeric() * cmath.exp(-2j * cmath.pi * quarter / 8)
             eighths = quarter if rotated.real > 0 else quarter + 4
-            result = GaussSum(magnitude_squared=mag2, argument=Fraction(eighths, 8) % 1)
+            result = GaussSum(magnitude_squared=mag2, argument=_EIGHTHS[eighths])
         if self.nondegenerate:
             if result.magnitude_squared != self.size or result.argument is None:
                 raise ConsistencyError(
@@ -179,18 +181,49 @@ class MetricGroup:
         return Fraction(sum(map(mul, self.pairing_row(x), y)) % self.level, self.level)
 
 
-def _mod1(value) -> Fraction:
-    return Fraction(value) % 1
-
-
-def _cross_matrix(k: int, entries) -> tuple[tuple[Fraction, ...], ...]:
-    """Build the symmetric cross matrix from {(i, j): value} with i < j."""
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for (i, j), v in dict(entries).items():
+def _integer_data(orders, diag, cross):
+    """(orders, L, values, cross matrix) of Fraction input: q(e_i) =
+    values[i] / L and b(e_i, e_j) = cross[i][j] / L, with L the lcm of
+    the value denominators.  Raises ValidationError on a shape violation.
+    """
+    orders = tuple(int(d) for d in orders)
+    k = len(orders)
+    diag = [Fraction(v) % 1 for v in diag]
+    if len(diag) != k:
+        raise ValidationError(_violations(orders) + [Violation("shape", (), f"{len(diag)} generator values for {k} generators")])
+    entries = {}
+    for (i, j), v in dict(cross).items():
         if not 0 <= i < j < k:
-            raise ValidationError([Violation("shape", (i, j), "cross index out of range or not i < j")])
-        mat[i][j] = mat[j][i] = _mod1(v)
-    return tuple(tuple(row) for row in mat)
+            raise ValidationError(_violations(orders) + [Violation("shape", (i, j), "cross index out of range or not i < j")])
+        entries[i, j] = Fraction(v) % 1
+    L = lcm(*(v.denominator for v in (*diag, *entries.values())))
+    mat = [[0] * k for _ in range(k)]
+    for (i, j), v in entries.items():
+        mat[i][j] = mat[j][i] = v.numerator * (L // v.denominator)
+    return orders, L, [v.numerator * (L // v.denominator) for v in diag], mat
+
+
+def _violations(orders, level: int = 1, values=(), cross=()) -> list[Violation]:
+    """The invariant-factor chain, then the congruences of q_i = values[i]
+    / level and b_ij = cross[i][j] / level, decided in integers."""
+    out: list[Violation] = []
+    for d in orders:
+        if d < 2:
+            out.append(Violation("orders", (d,), "cyclic orders must be at least 2"))
+    for a, b in zip(orders, orders[1:]):
+        if a < 2 or b % a != 0:
+            out.append(Violation("orders", (a, b), f"invariant factors must divide in order, {a} does not divide {b}"))
+    for i, (d, v) in enumerate(zip(orders, values)):
+        if 2 * d * v % level:
+            out.append(Violation("congruence", (i,), f"2 * {d} * q({i}) = {Fraction(2 * d * v, level)} is not an integer"))
+        if d * d * v % level:
+            out.append(Violation("congruence", (i,), f"{d}^2 * q({i}) = {Fraction(d * d * v, level)} is not an integer"))
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            g = gcd(orders[i], orders[j])
+            if g * cross[i][j] % level:
+                out.append(Violation("congruence", (i, j), f"gcd {g} times cross term {Fraction(cross[i][j], level)} is not an integer"))
+    return out
 
 
 def validate_metric(orders, diag, cross=()) -> list[Violation]:
@@ -200,34 +233,33 @@ def validate_metric(orders, diag, cross=()) -> list[Violation]:
     d_i**2 q_i in Z, and gcd(d_i, d_j) b_ij in Z.  Degeneracy is not a
     violation; it is recorded on the constructed object instead.
     """
-    out: list[Violation] = []
-    orders = tuple(int(d) for d in orders)
-    diag = tuple(_mod1(v) for v in diag)
-    k = len(orders)
-    for d in orders:
-        if d < 2:
-            out.append(Violation("orders", (d,), "cyclic orders must be at least 2"))
-    for a, b in zip(orders, orders[1:]):
-        if a < 2 or b % a != 0:
-            out.append(Violation("orders", (a, b), f"invariant factors must divide in order, {a} does not divide {b}"))
-    if len(diag) != k:
-        out.append(Violation("shape", (), f"{len(diag)} generator values for {k} generators"))
-        return out
     try:
-        mat = _cross_matrix(k, cross)
+        return _violations(*_integer_data(orders, diag, cross))
     except ValidationError as err:
-        return out + err.violations
-    for i, (d, qv) in enumerate(zip(orders, diag)):
-        if (2 * d * qv) % 1 != 0:
-            out.append(Violation("congruence", (i,), f"2 * {d} * q({i}) = {2 * d * qv} is not an integer"))
-        if (d * d * qv) % 1 != 0:
-            out.append(Violation("congruence", (i,), f"{d}^2 * q({i}) = {d * d * qv} is not an integer"))
-    for i in range(k):
-        for j in range(i + 1, k):
-            g = gcd(orders[i], orders[j])
-            if (g * mat[i][j]) % 1 != 0:
-                out.append(Violation("congruence", (i, j), f"gcd {g} times cross term {mat[i][j]} is not an integer"))
-    return out
+        return err.violations
+
+
+def _metric(orders, level: int, values, cross, cap: int | None = None) -> MetricGroup:
+    """The integer constructor: q(e_i) = values[i] / level and, for
+    i != j, b(e_i, e_j) = cross[i][j] / level.  The level is divided down
+    to the lcm of the value denominators; raises ValidationError on a
+    violated chain or congruence.
+    """
+    k = len(orders)
+    g = gcd(level, *values, *(c for i, row in enumerate(cross) for j, c in enumerate(row) if i != j))
+    L = level // g
+    values = [v // g % L for v in values]
+    cross = [[c // g % L for c in row] for row in cross]
+    violations = _violations(orders, L, values, cross)
+    if violations:
+        raise ValidationError(violations)
+    group = FiniteAbelianGroup(tuple(orders))
+    ELEMENT_CAP.check(group.size, f"group of order {group.size}", cap)
+    gram = tuple(tuple(2 * values[i] if i == j else c for j, c in enumerate(row)) for i, row in enumerate(cross))
+    # the radical is the kernel of x -> G x mod L on A, whose image in
+    # (Z/L)^k has order L^k / [Z^k : G Z^k + L Z^k]
+    nondegenerate = L**k == group.size * lattice_index(gram, L)
+    return MetricGroup(group=group, level=L, gram=gram, nondegenerate=nondegenerate)
 
 
 def metric_group(orders, diag, cross=(), cap: int | None = None) -> MetricGroup:
@@ -235,22 +267,7 @@ def metric_group(orders, diag, cross=(), cap: int | None = None) -> MetricGroup:
 
     cross: mapping or iterable of ((i, j), value) with 0-based i < j.
     """
-    violations = validate_metric(orders, diag, cross)
-    if violations:
-        raise ValidationError(violations)
-    orders = tuple(int(d) for d in orders)
-    group = FiniteAbelianGroup(orders)
-    ELEMENT_CAP.check(group.size, f"group of order {group.size}", cap)
-    form = QuadraticForm(
-        diag=tuple(_mod1(v) for v in diag),
-        cross=_cross_matrix(len(orders), cross),
-    )
-    mg = MetricGroup(group=group, form=form, nondegenerate=True)
-    # the radical is the kernel of x -> G x mod L on A, whose image in
-    # (Z/L)^k has order L^k / [Z^k : G Z^k + L Z^k]
-    if mg.level ** len(orders) == mg.size * lattice_index(mg.gram, mg.level):
-        return mg
-    return MetricGroup(group=group, form=form, nondegenerate=False)
+    return _metric(*_integer_data(orders, diag, cross), cap=cap)
 
 
 # -------------------------------------------------------------- gauss sums
@@ -270,6 +287,9 @@ class GaussSum:
     exact: bool = True
 
 
+_EIGHTHS = tuple(Fraction(n, 8) for n in range(8))
+
+
 def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
     """mg.gauss, computed once per group; the element cap is checked on every call."""
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
@@ -281,8 +301,9 @@ def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
 
 def _restricted(ambient: MetricGroup, orders, gens, cap: int | None) -> MetricGroup:
     """The form of ambient read off gens, taken as generators of these orders."""
-    cross = {(i, j): ambient.b(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))}
-    return metric_group(orders, [ambient.q(h) for h in gens], cross, cap=cap)
+    rows = [ambient.pairing_row(h) for h in gens]
+    cross = [[sum(map(mul, row, h)) for h in gens] for row in rows]
+    return _metric(orders, ambient.level, [ambient.value(h) for h in gens], cross, cap)
 
 
 def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], relations: list[list[int]], expected_size: int, cap: int | None = None) -> MetricGroup:
@@ -293,19 +314,12 @@ def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], r
     rebasing produces an invariant-factor generator tuple; q and b are
     read off the representatives.
     """
-    from .snf import rebase_presentation
-
     if not gens:
         if expected_size != 1:
             raise ConsistencyError("no generators for a nontrivial group")
-        return metric_group((), ())
+        return _metric((), 1, (), ())
     orders, combos = rebase_presentation(relations, len(gens))
-    new_gens = []
-    for combo in combos:
-        acc = ambient.group.zero()
-        for c, h in zip(combo, gens):
-            acc = ambient.group.add(acc, ambient.group.scale(c, h))
-        new_gens.append(acc)
+    new_gens = [tuple(a % d for a, d in zip(h, ambient.orders)) for h in mat_mul(combos, gens)]
     kept = [(o, h) for o, h in zip(orders, new_gens) if o > 1]
     size = prod(o for o, _ in kept) if kept else 1
     if size != expected_size:
@@ -324,20 +338,12 @@ def direct_sum(a: MetricGroup, b: MetricGroup, cap: int | None = None) -> Metric
     orders = a.orders + b.orders
     k = len(orders)
     ka = len(a.orders)
-    diag = a.form.diag + b.form.diag
-    cross = {}
-    for i in range(ka):
-        for j in range(i + 1, ka):
-            cross[(i, j)] = a.form.cross[i][j]
-    for i in range(len(b.orders)):
-        for j in range(i + 1, len(b.orders)):
-            cross[(ka + i, ka + j)] = b.form.cross[i][j]
+    L = lcm(a.level, b.level)
+    sa, sb = L // a.level, L // b.level
+    gram = tuple(tuple(sa * c for c in row) + (0,) * (k - ka) for row in a.gram)
+    gram += tuple((0,) * ka + tuple(sb * c for c in row) for row in b.gram)
     # block object used only as an evaluation ambient; orders need not chain
-    ambient = MetricGroup(
-        group=FiniteAbelianGroup(orders),
-        form=QuadraticForm(diag=tuple(diag), cross=_cross_matrix(k, cross)),
-        nondegenerate=a.nondegenerate and b.nondegenerate,
-    )
+    ambient = MetricGroup(FiniteAbelianGroup(orders), L, gram, a.nondegenerate and b.nondegenerate)
     gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
     relations = [[orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
     out = _metric_from_generators(ambient, gens, relations, a.size * b.size, cap=cap)
@@ -380,9 +386,5 @@ def sylow_decompose(mg: MetricGroup, cap: int | None = None) -> dict[int, Metric
 
 def inverse_form(mg: MetricGroup, cap: int | None = None) -> MetricGroup:
     """Same group with q replaced by -q; Gauss sum conjugates."""
-    cross = {}
-    k = len(mg.orders)
-    for i in range(k):
-        for j in range(i + 1, k):
-            cross[(i, j)] = -mg.form.cross[i][j]
-    return metric_group(mg.orders, [-v for v in mg.form.diag], cross, cap=cap)
+    values = [-row[i] // 2 for i, row in enumerate(mg.gram)]
+    return _metric(mg.orders, mg.level, values, [[-c for c in row] for row in mg.gram], cap=cap)

@@ -11,18 +11,17 @@ which metric groups decide nondegeneracy.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+def mat_mul(a, b) -> list[list[int]]:
+    """a @ b for integer matrices given as sequences of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 @dataclass(frozen=True)
@@ -151,16 +150,10 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
 def _verify(mat: list[list[int]], form: SmithForm) -> None:
     r = len(mat)
     c = len(mat[0]) if r else 0
-    prod = mat_mul(mat_mul([list(x) for x in form.u], mat), [list(x) for x in form.v])
-    for i in range(r):
-        for j in range(c):
-            want = form.diagonal[i] if i == j and i < len(form.diagonal) else 0
-            if prod[i][j] != want:
-                raise AssertionError("smith normal form verification failed")
-    if c:
-        iden = mat_mul([list(x) for x in form.v], [list(x) for x in form.v_inv])
-        if iden != _identity(c):
-            raise AssertionError("column transform inverse verification failed")
+    if mat_mul(mat_mul(form.u, mat), form.v) != [[form.diagonal[i] if i == j else 0 for j in range(c)] for i in range(r)]:
+        raise AssertionError("smith normal form verification failed")
+    if mat_mul(form.v, form.v_inv) != _identity(c):
+        raise AssertionError("column transform inverse verification failed")
     for i in range(len(form.diagonal) - 1):
         d0, d1 = form.diagonal[i], form.diagonal[i + 1]
         if d0 and d1 % d0 != 0 or (d0 == 0 and d1 != 0):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 from .arith import cayley_invariants, group_name
@@ -58,7 +59,8 @@ def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> 
         raise ValueError("reduction needs a nondegenerate metric group")
     if not any(x):
         raise ValueError("isotropic element must be nonzero")
-    if mg.q(x) != 0:
+    mg._require_element(x)
+    if mg.value(x):
         raise ValueError(f"q({x}) = {mg.q(x)} is nonzero")
     orders = mg.orders
     ord_x = mg.group.element_order(x)
@@ -181,7 +183,7 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
         return []
     belems = list(b.group.elements())
 
-    def extend(images: list[tuple[int, ...]]):
+    def extend(images: list[tuple[int, ...]], rows: list[tuple[int, ...]]):
         i = len(images)
         if i == k:
             seen = set()
@@ -191,19 +193,22 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
                     acc = b.group.add(acc, b.group.scale(c, y))
                 seen.add(acc)
             return list(images) if len(seen) == b.size else None
+        # rows are b's pairing rows of the images; the levels are equal,
+        # so values and pairings compare in units of 1/L
+        want, L = a.gram[i], a.level
         for y in belems:
             if b.group.scale(a.orders[i], y) != b.group.zero():
                 continue
-            if b.q(y) != a.form.diag[i]:
+            if b.value(y) != want[i] // 2:
                 continue
-            if any(b.b(images[j], y) != a.form.cross[j][i] for j in range(i)):
+            if any(sum(map(mul, rows[j], y)) % L != want[j] for j in range(i)):
                 continue
-            found = extend(images + [y])
+            found = extend(images + [y], rows + [b.pairing_row(y)])
             if found is not None:
                 return found
         return None
 
-    return extend([])
+    return extend([], [])
 
 
 def class_eq(c1: PointedWittClass, c2: PointedWittClass) -> bool:

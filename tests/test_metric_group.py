@@ -1,16 +1,21 @@
 import cmath
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_metric
-from fusionwitt import cli, corpus
+from fusionwitt import cli, corpus, metric_group as metric_group_module, witt
+from fusionwitt.arith import factorize
 from fusionwitt.errors import CapExceededError, ValidationError
+from fusionwitt.fusion_ring import Violation
 from fusionwitt.metric_group import (
     FiniteAbelianGroup,
+    QuadraticForm,
+    _metric_from_generators,
     direct_sum,
     gauss_sum,
     inverse_form,
@@ -18,7 +23,8 @@ from fusionwitt.metric_group import (
     sylow_decompose,
     validate_metric,
 )
-from fusionwitt.witt import isotropic_elements, reduce_once
+from fusionwitt.snf import integer_kernel, rebase_presentation
+from fusionwitt.witt import class_multiply, isotropic_elements, metric_iso, pointed_witt_class, reduce_once
 
 F = Fraction
 
@@ -292,15 +298,18 @@ def oracle_q(mg, x) -> Fraction:
 
 @st.composite
 def forms_with_cross_terms(draw, max_size=64):
-    """Orders d_1 | d_2 | d_3 (2-groups, odd p and mixed primes) with random
-    values: q_i = u/2d for even d (u/2^(k+1) on Z_2^k), u/d for odd d, and
-    b_ij = v/gcd(d_i, d_j)."""
-    orders = [draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16]))]
-    for _ in range(draw(st.integers(0, 2))):
-        d = orders[-1] * draw(st.sampled_from([1, 2, 3]))
+    """Orders d_1 | ... | d_k, k <= 4, over p = 2, 3, 5, 7 or mixed primes,
+    of order at most max_size (the trivial group when max_size < 2), with
+    random values: q_i = u/2d for even d (u/2^(k+1) on Z_2^k), u/d for
+    odd d, and b_ij = v/gcd(d_i, d_j)."""
+    primes = draw(st.sampled_from([(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 7), (2, 3, 5)]))
+    orders, d = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        d *= prod(p ** draw(st.integers(0, 2)) for p in primes)
         if prod(orders) * d > max_size:
             break
-        orders.append(d)
+        if d > 1:
+            orders.append(d)
     diag = [F(draw(st.integers(0, 2 * d - 1)), 2 * d) if d % 2 == 0 else F(draw(st.integers(0, d - 1)), d)
             for d in orders]
     cross = {}
@@ -342,3 +351,202 @@ def test_integer_evaluator_matches_fraction_oracle(form):
         assert len(perp) == rep.size * ord_x
         values = Counter(oracle_q(rep, z) for z in rep.group.elements())
         assert Counter({v: c * ord_x for v, c in values.items()}) == Counter(q[y] for y in perp)
+
+
+# ------------------------------- integer constructors against the Fraction path
+
+
+@dataclass(frozen=True)
+class FractionAmbient:
+    """An evaluation ambient with Fraction generator values, read by
+    oracle_q: the block ambient direct_sum built before it held its forms
+    in integers.  The orders need not chain."""
+
+    orders: tuple[int, ...]
+    form: QuadraticForm
+
+    def q(self, x) -> Fraction:
+        return oracle_q(self, x)
+
+    def b(self, x, y) -> Fraction:
+        return (oracle_q(self, [s + t for s, t in zip(x, y)]) - self.q(x) - self.q(y)) % 1
+
+
+def restricted_oracle(ambient, orders, gens):
+    """The form of ambient read off gens through q and b, rebuilt by metric_group()."""
+    cross = {(i, j): ambient.b(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))}
+    return metric_group(orders, [ambient.q(h) for h in gens], cross)
+
+
+def from_generators_oracle(ambient, gens, relations, expected_size):
+    """_metric_from_generators with the new generators summed by scale and add."""
+    if not gens:
+        return metric_group((), ())
+    group = FiniteAbelianGroup(ambient.orders)
+    orders, combos = rebase_presentation(relations, len(gens))
+    new_gens = []
+    for combo in combos:
+        acc = group.zero()
+        for c, h in zip(combo, gens):
+            acc = group.add(acc, group.scale(c, h))
+        new_gens.append(acc)
+    kept = [(o, h) for o, h in zip(orders, new_gens) if o > 1]
+    assert prod(o for o, _ in kept) == expected_size
+    return restricted_oracle(ambient, [o for o, _ in kept], [h for _, h in kept])
+
+
+def direct_sum_oracle(a, b):
+    k, ka = len(a.orders) + len(b.orders), len(a.orders)
+    cross = [[F(0)] * k for _ in range(k)]
+    for off, mg in ((0, a), (ka, b)):
+        for i, row in enumerate(mg.form.cross):
+            cross[off + i][off:off + len(row)] = row
+    ambient = FractionAmbient(a.orders + b.orders, QuadraticForm(a.form.diag + b.form.diag, tuple(map(tuple, cross))))
+    gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
+    relations = [[ambient.orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
+    return from_generators_oracle(ambient, gens, relations, a.size * b.size)
+
+
+def sylow_oracle(mg):
+    primes = factorize(mg.size)
+    if len(primes) == 1:
+        return {p: mg for p in primes}
+    parts = {}
+    for p in primes:
+        orders, gens = [], []
+        for i, d in enumerate(mg.orders):
+            pv = p ** next(v for v in range(d) if d % p ** (v + 1))
+            if pv > 1:
+                orders.append(pv)
+                gens.append(tuple(d // pv if t == i else 0 for t in range(len(mg.orders))))
+        parts[p] = restricted_oracle(mg, orders, gens)
+    return parts
+
+
+def inverse_oracle(mg):
+    k = len(mg.orders)
+    cross = {(i, j): -mg.form.cross[i][j] for i in range(k) for j in range(i + 1, k)}
+    return metric_group(mg.orders, [-v for v in mg.form.diag], cross)
+
+
+def assert_same_metric(new, old):
+    """Equal objects, and level and gram as the Fraction form defines them."""
+    assert new == old
+    assert (new.level, new.gram, new.form, new.nondegenerate) == (old.level, old.gram, old.form, old.nondegenerate)
+    diag, cross = new.form.diag, new.form.cross
+    level = lcm(*(v.denominator for row in (diag, *cross) for v in row))
+    assert new.level == level
+    assert new.gram == tuple(tuple(int(2 * diag[i] * level) if i == j else int(v * level) for j, v in enumerate(row))
+                             for i, row in enumerate(cross))
+    assert new.nondegenerate == (radical_oracle(new) == [new.group.zero()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_constructors_match_fraction_oracle(data):
+    a = metric_group(*data.draw(forms_with_cross_terms(max_size=4096)))
+    b = metric_group(*data.draw(forms_with_cross_terms(max_size=4096 // a.size)))
+    assert_same_metric(direct_sum(a, b), direct_sum_oracle(a, b))
+    assert_same_metric(inverse_form(a), inverse_oracle(a))
+    if a.nondegenerate:
+        new, old = sylow_decompose(a), sylow_oracle(a)
+        assert list(new) == list(old)
+        for p in new:
+            assert_same_metric(new[p], old[p])
+    gens = [tuple(data.draw(st.integers(0, d - 1)) for d in a.orders) for _ in range(data.draw(st.integers(0, 3)))]
+    gens = gens if a.orders else []
+    # relations of gens: sum z_j gens_j = 0 modulo the orders
+    w = [[g[i] for g in gens] + [d if r == i else 0 for r in range(len(a.orders))] for i, d in enumerate(a.orders)]
+    relations = [z[: len(gens)] for z in integer_kernel(w)] if gens else []
+    size = prod(rebase_presentation(relations, len(gens))[0]) if gens else 1
+    assert_same_metric(_metric_from_generators(a, gens, relations, size), from_generators_oracle(a, gens, relations, size))
+
+
+def fraction_validate_oracle(orders, diag, cross=()):
+    """validate_metric as it was decided in Fractions mod 1."""
+    out = []
+    orders = tuple(int(d) for d in orders)
+    diag = tuple(Fraction(v) % 1 for v in diag)
+    k = len(orders)
+    for d in orders:
+        if d < 2:
+            out.append(Violation("orders", (d,), "cyclic orders must be at least 2"))
+    for a, b in zip(orders, orders[1:]):
+        if a < 2 or b % a != 0:
+            out.append(Violation("orders", (a, b), f"invariant factors must divide in order, {a} does not divide {b}"))
+    if len(diag) != k:
+        out.append(Violation("shape", (), f"{len(diag)} generator values for {k} generators"))
+        return out
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for (i, j), v in dict(cross).items():
+        if not 0 <= i < j < k:
+            return out + [Violation("shape", (i, j), "cross index out of range or not i < j")]
+        mat[i][j] = mat[j][i] = Fraction(v) % 1
+    for i, (d, qv) in enumerate(zip(orders, diag)):
+        if (2 * d * qv) % 1 != 0:
+            out.append(Violation("congruence", (i,), f"2 * {d} * q({i}) = {2 * d * qv} is not an integer"))
+        if (d * d * qv) % 1 != 0:
+            out.append(Violation("congruence", (i,), f"{d}^2 * q({i}) = {d * d * qv} is not an integer"))
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(orders[i], orders[j])
+            if (g * mat[i][j]) % 1 != 0:
+                out.append(Violation("congruence", (i, j), f"gcd {g} times cross term {mat[i][j]} is not an integer"))
+    return out
+
+
+@st.composite
+def metric_input(draw):
+    """Valid forms, and forms broken in the chain, in an order below 2, in a
+    congruence (random denominators), in a cross index or in shape."""
+    orders, diag, cross = draw(forms_with_cross_terms(max_size=4096))
+    fraction = st.builds(F, st.integers(-40, 40), st.integers(1, 36))
+    breakage = draw(st.sampled_from(["none", "chain", "small", "congruence", "index", "shape"]))
+    if breakage == "chain":
+        orders = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=len(orders), max_size=len(orders)))
+    elif breakage == "small" and orders:
+        orders[draw(st.integers(0, len(orders) - 1))] = draw(st.integers(-2, 1))
+    elif breakage == "congruence":
+        diag = [draw(fraction) if draw(st.booleans()) else v for v in diag]
+        cross = {key: draw(fraction) if draw(st.booleans()) else v for key, v in cross.items()}
+    elif breakage == "index":
+        k = len(orders)
+        cross = dict(cross)
+        cross[draw(st.integers(-1, k)), draw(st.integers(-1, k))] = draw(fraction)
+    elif breakage == "shape":
+        diag = diag + [draw(fraction)] if draw(st.booleans()) or not diag else diag[:-1]
+    return orders, diag, cross
+
+
+@settings(max_examples=400, deadline=None)
+@given(metric_input())
+def test_integer_validation_matches_fraction_checker(form):
+    want = fraction_validate_oracle(*form)
+    assert validate_metric(*form) == want
+    if want:
+        with pytest.raises(ValidationError) as err:
+            metric_group(*form)
+        assert err.value.violations == want
+    else:
+        metric_group(*form, cap=4096)
+
+
+def test_integer_paths_construct_no_fraction(monkeypatch):
+    """direct_sum, reduce_once, class_multiply and metric_iso stay in integers."""
+    forms = [load_metric(name) for name in corpus.names(".mg")]
+    forms = [mg for mg in forms if mg.nondegenerate]
+    classes = [pointed_witt_class(mg) for mg in forms]
+    constructed = []
+    for module in (metric_group_module, witt):
+        monkeypatch.setattr(module, "Fraction", lambda *args: constructed.append(args) or Fraction(*args))
+    for a in forms:
+        x = next(isotropic_elements(a), None)
+        if x is not None:
+            reduce_once(a, x)
+        for b in forms:
+            direct_sum(a, b)
+            metric_iso(a, b)
+    for c1 in classes:
+        for c2 in classes:
+            class_multiply(c1, c2)
+    assert constructed == []

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionwitt.snf import integer_kernel, lattice_index, mat_mul, rebase_presentation, smith_normal_form
+from fusionwitt.snf import SmithForm, _verify, integer_kernel, lattice_index, mat_mul, rebase_presentation, smith_normal_form
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
@@ -36,6 +37,32 @@ def test_transforms_and_divisibility(mat):
     assert all(d > 0 for d in nonzero)
     for d0, d1 in zip(nonzero, nonzero[1:]):
         assert d1 % d0 == 0
+
+
+def corrupt(rows, i, j):
+    """rows with entry (i, j) raised by one."""
+    return tuple(tuple(x + ((r, c) == (i, j)) for c, x in enumerate(row)) for r, row in enumerate(rows))
+
+
+MAT = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+FORM = smith_normal_form(MAT)
+IDENTITY = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("mat,form,message", [
+    (MAT, replace(FORM, u=corrupt(FORM.u, 0, 0)), "smith normal form verification failed"),
+    (MAT, replace(FORM, v=corrupt(FORM.v, 2, 1)), "smith normal form verification failed"),
+    (MAT, replace(FORM, v_inv=corrupt(FORM.v_inv, 1, 2)), "column transform inverse verification failed"),
+    # U M V = diag(2, 3) and V V^-1 = I hold; only the chain 2 | 3 fails
+    ([[2, 0], [0, 3]], SmithForm((2, 3), IDENTITY, IDENTITY, IDENTITY), "diagonal divisibility chain broken"),
+], ids=["u", "v", "v_inv", "chain"])
+def test_verify_rejects_a_corrupted_decomposition(mat, form, message):
+    with pytest.raises(AssertionError, match=message):
+        _verify(mat, form)
+
+
+def test_verify_accepts_the_decomposition_it_corrupts():
+    _verify(MAT, FORM)
 
 
 @settings(max_examples=200)
