@@ -156,7 +156,7 @@ class MetricGroup:
             # value of G rotated back is +-|G|, and |G| >= 1 dwarfs float error
             rotated = g.numeric() * cmath.exp(-2j * cmath.pi * quarter / 8)
             eighths = quarter if rotated.real > 0 else quarter + 4
-            result = GaussSum(magnitude_squared=mag2, argument=_EIGHTHS[eighths])
+            result = GaussSum(magnitude_squared=mag2, argument=Fraction(eighths, 8) % 1)
         if self.nondegenerate:
             if result.magnitude_squared != self.size or result.argument is None:
                 raise ConsistencyError(
@@ -182,9 +182,9 @@ class MetricGroup:
 
 
 def _integer_data(orders, diag, cross):
-    """(orders, L, values, cross matrix) of Fraction input: q(e_i) =
-    values[i] / L and b(e_i, e_j) = cross[i][j] / L, with L the lcm of
-    the value denominators.  Raises ValidationError on a shape violation.
+    """(orders, L, gram) of Fraction input: L is the lcm of the value
+    denominators, G_ii = 2 L q(e_i) and G_ij = L b(e_i, e_j).  Raises
+    ValidationError on a shape violation.
     """
     orders = tuple(int(d) for d in orders)
     k = len(orders)
@@ -197,15 +197,17 @@ def _integer_data(orders, diag, cross):
             raise ValidationError(_violations(orders) + [Violation("shape", (i, j), "cross index out of range or not i < j")])
         entries[i, j] = Fraction(v) % 1
     L = lcm(*(v.denominator for v in (*diag, *entries.values())))
-    mat = [[0] * k for _ in range(k)]
+    gram = [[0] * k for _ in range(k)]
+    for i, v in enumerate(diag):
+        gram[i][i] = 2 * v.numerator * (L // v.denominator)
     for (i, j), v in entries.items():
-        mat[i][j] = mat[j][i] = v.numerator * (L // v.denominator)
-    return orders, L, [v.numerator * (L // v.denominator) for v in diag], mat
+        gram[i][j] = gram[j][i] = v.numerator * (L // v.denominator)
+    return orders, L, gram
 
 
-def _violations(orders, level: int = 1, values=(), cross=()) -> list[Violation]:
-    """The invariant-factor chain, then the congruences of q_i = values[i]
-    / level and b_ij = cross[i][j] / level, decided in integers."""
+def _violations(orders, level: int = 1, gram=()) -> list[Violation]:
+    """The invariant-factor chain, then the congruences of q_i =
+    G_ii / 2 level and b_ij = G_ij / level, decided in integers."""
     out: list[Violation] = []
     for d in orders:
         if d < 2:
@@ -213,16 +215,17 @@ def _violations(orders, level: int = 1, values=(), cross=()) -> list[Violation]:
     for a, b in zip(orders, orders[1:]):
         if a < 2 or b % a != 0:
             out.append(Violation("orders", (a, b), f"invariant factors must divide in order, {a} does not divide {b}"))
-    for i, (d, v) in enumerate(zip(orders, values)):
+    for i, (d, row) in enumerate(zip(orders, gram)):
+        v = row[i] // 2
         if 2 * d * v % level:
             out.append(Violation("congruence", (i,), f"2 * {d} * q({i}) = {Fraction(2 * d * v, level)} is not an integer"))
         if d * d * v % level:
             out.append(Violation("congruence", (i,), f"{d}^2 * q({i}) = {Fraction(d * d * v, level)} is not an integer"))
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
+    for i, row in enumerate(gram):
+        for j in range(i + 1, len(gram)):
             g = gcd(orders[i], orders[j])
-            if g * cross[i][j] % level:
-                out.append(Violation("congruence", (i, j), f"gcd {g} times cross term {Fraction(cross[i][j], level)} is not an integer"))
+            if g * row[j] % level:
+                out.append(Violation("congruence", (i, j), f"gcd {g} times cross term {Fraction(row[j], level)} is not an integer"))
     return out
 
 
@@ -239,23 +242,22 @@ def validate_metric(orders, diag, cross=()) -> list[Violation]:
         return err.violations
 
 
-def _metric(orders, level: int, values, cross, cap: int | None = None) -> MetricGroup:
-    """The integer constructor: q(e_i) = values[i] / level and, for
-    i != j, b(e_i, e_j) = cross[i][j] / level.  The level is divided down
-    to the lcm of the value denominators; raises ValidationError on a
-    violated chain or congruence.
+def _metric(orders, level: int, gram, cap: int | None = None) -> MetricGroup:
+    """The integer constructor: q(e_i) = G_ii / 2 level and, for i != j,
+    b(e_i, e_j) = G_ij / level, for an integer matrix G with even
+    diagonal.  The level is divided down to the lcm of the value
+    denominators; raises ValidationError on a violated chain or
+    congruence.
     """
     k = len(orders)
-    g = gcd(level, *values, *(c for i, row in enumerate(cross) for j, c in enumerate(row) if i != j))
+    g = gcd(level, *(c // 2 if i == j else c for i, row in enumerate(gram) for j, c in enumerate(row)))
     L = level // g
-    values = [v // g % L for v in values]
-    cross = [[c // g % L for c in row] for row in cross]
-    violations = _violations(orders, L, values, cross)
+    gram = tuple(tuple(2 * (c // 2 // g % L) if i == j else c // g % L for j, c in enumerate(row)) for i, row in enumerate(gram))
+    violations = _violations(orders, L, gram)
     if violations:
         raise ValidationError(violations)
     group = FiniteAbelianGroup(tuple(orders))
     ELEMENT_CAP.check(group.size, f"group of order {group.size}", cap)
-    gram = tuple(tuple(2 * values[i] if i == j else c for j, c in enumerate(row)) for i, row in enumerate(cross))
     # the radical is the kernel of x -> G x mod L on A, whose image in
     # (Z/L)^k has order L^k / [Z^k : G Z^k + L Z^k]
     nondegenerate = L**k == group.size * lattice_index(gram, L)
@@ -287,9 +289,6 @@ class GaussSum:
     exact: bool = True
 
 
-_EIGHTHS = tuple(Fraction(n, 8) for n in range(8))
-
-
 def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
     """mg.gauss, computed once per group; the element cap is checked on every call."""
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
@@ -302,8 +301,8 @@ def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
 def _restricted(ambient: MetricGroup, orders, gens, cap: int | None) -> MetricGroup:
     """The form of ambient read off gens, taken as generators of these orders."""
     rows = [ambient.pairing_row(h) for h in gens]
-    cross = [[sum(map(mul, row, h)) for h in gens] for row in rows]
-    return _metric(orders, ambient.level, [ambient.value(h) for h in gens], cross, cap)
+    gram = [[2 * ambient.value(h) if i == j else sum(map(mul, row, h)) for j, h in enumerate(gens)] for i, row in enumerate(rows)]
+    return _metric(orders, ambient.level, gram, cap)
 
 
 def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], relations: list[list[int]], expected_size: int, cap: int | None = None) -> MetricGroup:
@@ -317,7 +316,7 @@ def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], r
     if not gens:
         if expected_size != 1:
             raise ConsistencyError("no generators for a nontrivial group")
-        return _metric((), 1, (), ())
+        return _metric((), 1, ())
     orders, combos = rebase_presentation(relations, len(gens))
     new_gens = [tuple(a % d for a, d in zip(h, ambient.orders)) for h in mat_mul(combos, gens)]
     kept = [(o, h) for o, h in zip(orders, new_gens) if o > 1]
@@ -386,5 +385,4 @@ def sylow_decompose(mg: MetricGroup, cap: int | None = None) -> dict[int, Metric
 
 def inverse_form(mg: MetricGroup, cap: int | None = None) -> MetricGroup:
     """Same group with q replaced by -q; Gauss sum conjugates."""
-    values = [-row[i] // 2 for i, row in enumerate(mg.gram)]
-    return _metric(mg.orders, mg.level, values, [[-c for c in row] for row in mg.gram], cap=cap)
+    return _metric(mg.orders, mg.level, [[-c for c in row] for row in mg.gram], cap=cap)

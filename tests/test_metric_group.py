@@ -1,4 +1,5 @@
 import cmath
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,11 +285,11 @@ def test_random_diagonal_forms_validate_and_satisfy_milgram(data):
 # ------------------------------------- integer evaluator against Fractions
 
 
-def oracle_q(mg, x) -> Fraction:
+def oracle_q(form, x) -> Fraction:
     """q(x) = sum x_i^2 q_i + sum_{i<j} x_i x_j b_ij mod 1 in Fractions,
-    straight from the stored generator values, without the level."""
+    straight from the generator values of a QuadraticForm, without a level."""
     total = Fraction(0)
-    diag, cross = mg.form.diag, mg.form.cross
+    diag, cross = form.diag, form.cross
     for i, a in enumerate(x):
         total += a * a * diag[i]
         for j in range(i + 1, len(x)):
@@ -324,9 +325,11 @@ def forms_with_cross_terms(draw, max_size=64):
 @given(forms_with_cross_terms())
 def test_integer_evaluator_matches_fraction_oracle(form):
     mg = metric_group(*form)
+    drawn = fraction_ambient(*form)
+    assert mg.form == drawn.form
     g = mg.group
     elements = list(g.elements())
-    q = {x: oracle_q(mg, x) for x in elements}
+    q = {x: oracle_q(drawn.form, x) for x in elements}
     assert all(mg.q(x) == q[x] for x in elements)
     pairing = {(x, y): (q[g.add(x, y)] - q[x] - q[y]) % 1 for x in elements for y in elements}
     assert all(mg.b(x, y) == pairing[x, y] for x in elements for y in elements)
@@ -349,7 +352,7 @@ def test_integer_evaluator_matches_fraction_oracle(form):
         rep = reduce_once(mg, x)
         ord_x = g.element_order(x)
         assert len(perp) == rep.size * ord_x
-        values = Counter(oracle_q(rep, z) for z in rep.group.elements())
+        values = Counter(oracle_q(rep.form, z) for z in rep.group.elements())
         assert Counter({v: c * ord_x for v, c in values.items()}) == Counter(q[y] for y in perp)
 
 
@@ -358,30 +361,41 @@ def test_integer_evaluator_matches_fraction_oracle(form):
 
 @dataclass(frozen=True)
 class FractionAmbient:
-    """An evaluation ambient with Fraction generator values, read by
-    oracle_q: the block ambient direct_sum built before it held its forms
-    in integers.  The orders need not chain."""
+    """Fraction generator values mod 1, evaluated by oracle_q: drawn input,
+    the results of the oracles below, and the block ambient direct_sum
+    built before it held its forms in integers.  The orders need not
+    chain."""
 
     orders: tuple[int, ...]
     form: QuadraticForm
 
     def q(self, x) -> Fraction:
-        return oracle_q(self, x)
+        return oracle_q(self.form, x)
 
     def b(self, x, y) -> Fraction:
-        return (oracle_q(self, [s + t for s, t in zip(x, y)]) - self.q(x) - self.q(y)) % 1
+        return (oracle_q(self.form, [s + t for s, t in zip(x, y)]) - self.q(x) - self.q(y)) % 1
+
+
+def fraction_ambient(orders, diag, cross=()) -> FractionAmbient:
+    """metric_group() input as given, reduced mod 1, with the cross terms
+    as a full symmetric matrix."""
+    k = len(orders)
+    mat = [[F(0)] * k for _ in range(k)]
+    for (i, j), v in dict(cross).items():
+        mat[i][j] = mat[j][i] = F(v) % 1
+    return FractionAmbient(tuple(orders), QuadraticForm(tuple(F(v) % 1 for v in diag), tuple(map(tuple, mat))))
 
 
 def restricted_oracle(ambient, orders, gens):
-    """The form of ambient read off gens through q and b, rebuilt by metric_group()."""
+    """The form of ambient read off gens through q and b."""
     cross = {(i, j): ambient.b(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))}
-    return metric_group(orders, [ambient.q(h) for h in gens], cross)
+    return fraction_ambient(orders, [ambient.q(h) for h in gens], cross)
 
 
 def from_generators_oracle(ambient, gens, relations, expected_size):
     """_metric_from_generators with the new generators summed by scale and add."""
     if not gens:
-        return metric_group((), ())
+        return fraction_ambient((), ())
     group = FiniteAbelianGroup(ambient.orders)
     orders, combos = rebase_presentation(relations, len(gens))
     new_gens = []
@@ -404,11 +418,11 @@ def direct_sum_oracle(a, b):
     ambient = FractionAmbient(a.orders + b.orders, QuadraticForm(a.form.diag + b.form.diag, tuple(map(tuple, cross))))
     gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
     relations = [[ambient.orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
-    return from_generators_oracle(ambient, gens, relations, a.size * b.size)
+    return from_generators_oracle(ambient, gens, relations, prod(ambient.orders))
 
 
 def sylow_oracle(mg):
-    primes = factorize(mg.size)
+    primes = factorize(prod(mg.orders))
     if len(primes) == 1:
         return {p: mg for p in primes}
     parts = {}
@@ -424,16 +438,17 @@ def sylow_oracle(mg):
 
 
 def inverse_oracle(mg):
-    k = len(mg.orders)
-    cross = {(i, j): -mg.form.cross[i][j] for i in range(k) for j in range(i + 1, k)}
-    return metric_group(mg.orders, [-v for v in mg.form.diag], cross)
+    return FractionAmbient(mg.orders, QuadraticForm(
+        tuple(-v % 1 for v in mg.form.diag), tuple(tuple(-v % 1 for v in row) for row in mg.form.cross)))
 
 
 def assert_same_metric(new, old):
-    """Equal objects, and level and gram as the Fraction form defines them."""
-    assert new == old
-    assert (new.level, new.gram, new.form, new.nondegenerate) == (old.level, old.gram, old.form, old.nondegenerate)
-    diag, cross = new.form.diag, new.form.cross
+    """new is the object metric_group() builds from the Fraction values of
+    old, with the level, gram and form that those values define."""
+    k = len(old.orders)
+    diag, cross = old.form.diag, old.form.cross
+    assert new == metric_group(old.orders, diag, {(i, j): cross[i][j] for i in range(k) for j in range(i + 1, k)})
+    assert new.form == old.form
     level = lcm(*(v.denominator for row in (diag, *cross) for v in row))
     assert new.level == level
     assert new.gram == tuple(tuple(int(2 * diag[i] * level) if i == j else int(v * level) for j, v in enumerate(row))
@@ -444,12 +459,15 @@ def assert_same_metric(new, old):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_constructors_match_fraction_oracle(data):
-    a = metric_group(*data.draw(forms_with_cross_terms(max_size=4096)))
-    b = metric_group(*data.draw(forms_with_cross_terms(max_size=4096 // a.size)))
-    assert_same_metric(direct_sum(a, b), direct_sum_oracle(a, b))
-    assert_same_metric(inverse_form(a), inverse_oracle(a))
+    form_a = data.draw(forms_with_cross_terms(max_size=4096))
+    a, a_in = metric_group(*form_a), fraction_ambient(*form_a)
+    form_b = data.draw(forms_with_cross_terms(max_size=4096 // a.size))
+    b, b_in = metric_group(*form_b), fraction_ambient(*form_b)
+    assert_same_metric(a, a_in)
+    assert_same_metric(direct_sum(a, b), direct_sum_oracle(a_in, b_in))
+    assert_same_metric(inverse_form(a), inverse_oracle(a_in))
     if a.nondegenerate:
-        new, old = sylow_decompose(a), sylow_oracle(a)
+        new, old = sylow_decompose(a), sylow_oracle(a_in)
         assert list(new) == list(old)
         for p in new:
             assert_same_metric(new[p], old[p])
@@ -459,7 +477,7 @@ def test_integer_constructors_match_fraction_oracle(data):
     w = [[g[i] for g in gens] + [d if r == i else 0 for r in range(len(a.orders))] for i, d in enumerate(a.orders)]
     relations = [z[: len(gens)] for z in integer_kernel(w)] if gens else []
     size = prod(rebase_presentation(relations, len(gens))[0]) if gens else 1
-    assert_same_metric(_metric_from_generators(a, gens, relations, size), from_generators_oracle(a, gens, relations, size))
+    assert_same_metric(_metric_from_generators(a, gens, relations, size), from_generators_oracle(a_in, gens, relations, size))
 
 
 def fraction_validate_oracle(orders, diag, cross=()):
@@ -532,13 +550,21 @@ def test_integer_validation_matches_fraction_checker(form):
 
 
 def test_integer_paths_construct_no_fraction(monkeypatch):
-    """direct_sum, reduce_once, class_multiply and metric_iso stay in integers."""
+    """direct_sum, reduce_once, class_multiply and metric_iso stay in
+    integers, apart from the Gauss argument that reduce_once compares."""
     forms = [load_metric(name) for name in corpus.names(".mg")]
     forms = [mg for mg in forms if mg.nondegenerate]
     classes = [pointed_witt_class(mg) for mg in forms]
     constructed = []
+
+    def counted(*args):
+        # the argument of a Gauss sum, computed once per object, is a Fraction
+        if sys._getframe(1).f_code.co_name != "gauss":
+            constructed.append(args)
+        return Fraction(*args)
+
     for module in (metric_group_module, witt):
-        monkeypatch.setattr(module, "Fraction", lambda *args: constructed.append(args) or Fraction(*args))
+        monkeypatch.setattr(module, "Fraction", counted)
     for a in forms:
         x = next(isotropic_elements(a), None)
         if x is not None:
