@@ -17,6 +17,7 @@ import time
 
 from fusionwitt import cli, corpus, witt
 from fusionwitt.arith import factorize
+from fusionwitt.caps import CLOSURE_CAP, positive_int
 from fusionwitt.metric_group import metric_group
 
 
@@ -44,7 +45,8 @@ def run(args: argparse.Namespace) -> None:
             continue
         start = time.perf_counter()
         classes = [witt.pointed_witt_class(mg) for _, mg in gens]
-        subgroup = witt.generated_subgroup(classes, cap=args.closure_cap)
+        with CLOSURE_CAP.limit(args.closure_cap):
+            subgroup = witt.generated_subgroup(classes)
         elapsed = time.perf_counter() - start
         print(f"  subgroup order {subgroup.order}, invariant factors {subgroup.invariant_factors},"
               f" group {subgroup.name()}  ({elapsed:.2f}s)")
@@ -62,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
     parser.add_argument("--max-order", type=int, default=16,
                         help="largest generator group to include")
-    parser.add_argument("--closure-cap", type=int, default=None)
+    parser.add_argument("--closure-cap", type=positive_int, default=None)
     parser.add_argument("--no-table", action="store_true")
     parser.add_argument("--extra", nargs="*", default=[],
                         help="additional metric group files to include as generators")

@@ -11,6 +11,8 @@ from array import array
 from functools import cache
 from math import isqrt
 
+from .errors import ConsistencyError
+
 FACTOR_LIMIT = 10**7
 
 
@@ -158,10 +160,11 @@ def invariants_from_element_orders(orders: list[int]) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def cayley_invariants(table, identity: int) -> tuple[int, ...]:
+def cayley_invariants(table, identity: int, names=None) -> tuple[int, ...]:
     """Invariant factors of a finite abelian group from its Cayley table,
     where table[a][b] is the index of a * b and identity is the index of
-    the identity.
+    the identity.  An element whose first len(table) powers miss the
+    identity raises ConsistencyError, named by names[a] if given.
 
     >>> cayley_invariants([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
     (3,)
@@ -170,10 +173,13 @@ def cayley_invariants(table, identity: int) -> tuple[int, ...]:
     """
     orders = []
     for a in range(len(table)):
-        n, acc = 1, a
-        while acc != identity:
+        acc = a
+        for n in range(1, len(table) + 1):
+            if acc == identity:
+                break
             acc = table[acc][a]
-            n += 1
+        else:
+            raise ConsistencyError(f"powers of {a if names is None else names[a]} never reach the unit")
         orders.append(n)
     return invariants_from_element_orders(orders)
 

@@ -1,19 +1,27 @@
 """The size caps that keep enumeration and closure from stalling.
 
-Each cap resolves in one order: the explicit value a caller passes (the
-CLI passes its flag), else the cap's environment variable, else its
-default.  A cap is a positive integer; a variable set to anything else
-is refused with a message naming it.  Going over a cap raises
-CapExceededError with one message format that names the cap, its limit,
-its environment variable and its CLI flag.
+Each cap is checked where the work it bounds happens, against a limit
+resolved at the check: the value of the innermost enclosing
+`with cap.limit(n):` block (the CLI enters one per call, with its
+flags), else the cap's environment variable, else its default.  A cap
+is a positive integer; a variable set to anything else is refused with
+a message naming it.  Going over a cap raises CapExceededError with one
+message format that names the cap, its limit, its environment variable
+and its CLI flag.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CapExceededError, FusionWittError
+
+# limits set by the enclosing Cap.limit blocks, keyed by the caps' variables
+_SCOPED: ContextVar[dict[str, int]] = ContextVar("fusionwitt_cap_limits", default={})
 
 
 def positive_int(text: str) -> int:
@@ -31,10 +39,20 @@ class Cap:
     env: str
     flag: str
 
-    def check(self, size: int, subject: str, value: int | None = None) -> None:
+    @contextmanager
+    def limit(self, value: int | None) -> Iterator[None]:
+        """Check against value inside the block; None keeps the enclosing limit."""
+        scoped = _SCOPED.get()
+        token = _SCOPED.set(scoped if value is None else {**scoped, self.env: value})
+        try:
+            yield
+        finally:
+            _SCOPED.reset(token)
+
+    def check(self, size: int, subject: str) -> None:
         """Refuse when size is over the resolved limit; subject names what
         was counted, e.g. 'group of order 70000'."""
-        limit = value
+        limit = _SCOPED.get().get(self.env)
         if limit is None:
             raw = os.environ.get(self.env)
             try:

@@ -14,26 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import (
-    FACTOR_LIMIT,
-    divisors,
-    factorize,
-    factorize_with_sieve,
-    is_square_free,
-    smallest_factor_sieve,
-)
+from .arith import FACTOR_LIMIT, factorize, factorize_with_sieve, is_square_free, smallest_factor_sieve
 from .errors import CertificationError
 from .fpdim import FPDimData, simple_dims_prime_power
 from .fusion_ring import FusionRing
-
-# bounds with their acknowledged exceptional dimensions: below each
-# bound, these are the dimensions the established case analysis handles
-# explicitly despite admitting no factorization
-BOUND_ANY_PARITY = 1800
-ACKNOWLEDGED_ANY_PARITY = (900,)
-BOUND_ODD = 33075
-ACKNOWLEDGED_ODD = (11025,)
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -156,76 +140,52 @@ class DimensionVerdict:
 _HYPOTHESIS = "applies to weakly integral nondegenerate braided categories"
 
 
+@dataclass(frozen=True)
+class BoundCriterion:
+    """Below limit, for odd dimensions only if odd_only, a dimension with
+    no factorization gets kind when it is one of the acknowledged special
+    cases, the ones the established case analysis handles explicitly."""
+
+    limit: int
+    odd_only: bool
+    acknowledged: tuple[int, ...]
+    kind: VerdictKind
+
+
+BOUND_CRITERIA = (
+    BoundCriterion(1800, False, (900,), VerdictKind.WGT_BELOW_1800),
+    BoundCriterion(33075, True, (11025,), VerdictKind.SOLVABLE_ODD_BELOW_33075),
+)
+
+
 def verdict_dimension(n: int) -> DimensionVerdict:
     """Classify a global dimension by the arithmetic criteria.
 
     Priority: single-prime factorization, two-prime factorization, then
-    the bound criteria.  A dimension below a bound with no factorization
-    gets that bound's verdict only when it is one of the acknowledged
-    special cases; otherwise the verdict stays Unknown and the notes
-    show the divergence between the scan and the acknowledged list.
+    the bound criteria in table order.  A dimension below a bound with
+    no factorization gets that bound's verdict only when it is one of
+    the acknowledged special cases; otherwise the verdict stays Unknown
+    and the notes show the divergence between the scan and the
+    acknowledged list.
     """
-    if n < 1:
-        raise ValueError(f"expected a positive dimension, got {n}")
-    single = factor_pac(n)
-    if single is not None:
-        shape = f"{n} = {single.c}" if single.p is None else f"{n} = {single.p}^{single.a} * {single.c}"
-        return DimensionVerdict(
-            kind=VerdictKind.SOLVABLE_SINGLE_PRIME,
-            witness=single,
-            notes=f"single-prime criterion: {shape} with square-free cofactor; {_HYPOTHESIS}",
-        )
-    double = factor_paqbc(n)
-    if double is not None:
-        return DimensionVerdict(
-            kind=VerdictKind.WGT_TWO_PRIMES,
-            witness=double,
-            notes=(
-                f"two-prime criterion: {n} = {double.p}^{double.a} * {double.q}^{double.b} * {double.c}"
-                f" with square-free cofactor; {_HYPOTHESIS}"
-            ),
-        )
-    if n < BOUND_ANY_PARITY:
-        if n in ACKNOWLEDGED_ANY_PARITY:
-            return DimensionVerdict(
-                kind=VerdictKind.WGT_BELOW_1800,
-                witness=None,
-                notes=(
-                    f"below-{BOUND_ANY_PARITY} criterion: no two-prime factorization, but {n} is its"
-                    f" acknowledged special case; {_HYPOTHESIS}"
-                ),
-            )
-        return DimensionVerdict(
-            kind=VerdictKind.UNKNOWN,
-            witness=None,
-            notes=(
-                f"divergence: {n} < {BOUND_ANY_PARITY} admits no two-prime factorization and the"
-                f" case analysis acknowledges only {set(ACKNOWLEDGED_ANY_PARITY)}; verdict withheld"
-            ),
-        )
-    if n % 2 == 1 and n < BOUND_ODD:
-        if n in ACKNOWLEDGED_ODD:
-            return DimensionVerdict(
-                kind=VerdictKind.SOLVABLE_ODD_BELOW_33075,
-                witness=None,
-                notes=(
-                    f"odd-below-{BOUND_ODD} criterion: no two-prime factorization, but {n} is its"
-                    f" acknowledged special case; {_HYPOTHESIS}"
-                ),
-            )
-        return DimensionVerdict(
-            kind=VerdictKind.UNKNOWN,
-            witness=None,
-            notes=(
-                f"divergence: odd {n} < {BOUND_ODD} admits no two-prime factorization and the"
-                f" case analysis acknowledges only {set(ACKNOWLEDGED_ODD)}; verdict withheld"
-            ),
-        )
-    return DimensionVerdict(
-        kind=VerdictKind.UNKNOWN,
-        witness=None,
-        notes=f"no criterion applies to {n}",
-    )
+    w = factor_paqbc(n)
+    if w is not None and w.q is None:
+        shape = f"{n} = {w.c}" if w.p is None else f"{n} = {w.p}^{w.a} * {w.c}"
+        notes = f"single-prime criterion: {shape} with square-free cofactor; {_HYPOTHESIS}"
+        return DimensionVerdict(kind=VerdictKind.SOLVABLE_SINGLE_PRIME, witness=w, notes=notes)
+    if w is not None:
+        notes = f"two-prime criterion: {n} = {w.p}^{w.a} * {w.q}^{w.b} * {w.c} with square-free cofactor; {_HYPOTHESIS}"
+        return DimensionVerdict(kind=VerdictKind.WGT_TWO_PRIMES, witness=w, notes=notes)
+    bound = next((b for b in BOUND_CRITERIA if n < b.limit and (n % 2 == 1 or not b.odd_only)), None)
+    if bound is None:
+        return DimensionVerdict(kind=VerdictKind.UNKNOWN, witness=None, notes=f"no criterion applies to {n}")
+    if n in bound.acknowledged:
+        notes = (f"{'odd-' if bound.odd_only else ''}below-{bound.limit} criterion: no two-prime factorization,"
+                 f" but {n} is its acknowledged special case; {_HYPOTHESIS}")
+        return DimensionVerdict(kind=bound.kind, witness=None, notes=notes)
+    notes = (f"divergence: {'odd ' if bound.odd_only else ''}{n} < {bound.limit} admits no two-prime factorization"
+             f" and the case analysis acknowledges only {set(bound.acknowledged)}; verdict withheld")
+    return DimensionVerdict(kind=VerdictKind.UNKNOWN, witness=None, notes=notes)
 
 
 def verdict_ring(ring: FusionRing, data: FPDimData) -> DimensionVerdict:
@@ -296,9 +256,9 @@ def scan_exceptions(limit: int, odd_only: bool = False) -> ScanReport:
             continue
         if factor_paqbc(n, factors) is None:
             exceptions.append(n)
-    bound, known = (BOUND_ODD, ACKNOWLEDGED_ODD) if odd_only else (BOUND_ANY_PARITY, ACKNOWLEDGED_ANY_PARITY)
-    acknowledged = tuple(k for k in known if k < limit)
-    divergent = tuple(n for n in exceptions if n < bound and n not in known)
+    bound = next(b for b in BOUND_CRITERIA if b.odd_only == odd_only)
+    acknowledged = tuple(k for k in bound.acknowledged if k < limit)
+    divergent = tuple(n for n in exceptions if n < bound.limit and n not in bound.acknowledged)
     return ScanReport(
         limit=limit,
         odd_only=odd_only,

@@ -252,11 +252,11 @@ def _sniff_kind(path: str) -> str:
     raise FileFormatError(f"{path}: cannot tell a ring file from a metric group file")
 
 
-def _load_metric(path: str, cap: int | None) -> metric_group.MetricGroup:
+def _load_metric(path: str) -> metric_group.MetricGroup:
     """A nondegenerate metric group from a file; the Witt verbs refuse
     degenerate forms."""
     orders, diag, cross = parse_metric_file(path)
-    mg = metric_group.metric_group(orders, diag, cross, cap=cap)
+    mg = metric_group.metric_group(orders, diag, cross)
     if not mg.nondegenerate:
         raise FusionWittError(f"{path}: degenerate form; Witt classes need nondegenerate forms")
     return mg
@@ -320,7 +320,7 @@ def _cmd_validate(args) -> Report:
         return report
     report.section("result", ["valid"])
     if kind == "metric":
-        mg = metric_group.metric_group(orders, diag, cross, cap=args.element_cap)
+        mg = metric_group.metric_group(orders, diag, cross)
         degeneracy = "nondegenerate" if mg.nondegenerate else "degenerate"
         report.section("degeneracy", [degeneracy], nondegenerate=mg.nondegenerate)
     return report
@@ -352,7 +352,7 @@ def _cmd_analyze(args) -> Report:
 
     inv = fusion_ring.invertibles(ring)
     group = inv.name()
-    members = ", ".join(ring.labels[g] for g in inv.members)
+    members = ", ".join(inv.labels)
     report.section("invertibles and stabilizers", [f"members: {members}", f"group: {group} (order {inv.order})"],
                    invertible_count=inv.order, invertible_members=inv.members, invertible_group=group)
     for x in range(ring.rank):
@@ -388,17 +388,17 @@ def _cmd_analyze(args) -> Report:
 
 
 def _cmd_witt_class(args) -> Report:
-    mg = _load_metric(args.file, args.element_cap)
-    gs = metric_group.gauss_sum(mg, cap=args.element_cap)
-    parts = sorted(metric_group.sylow_decompose(mg, cap=args.element_cap).items())
+    mg = _load_metric(args.file)
+    gs = metric_group.gauss_sum(mg)
+    parts = sorted(metric_group.sylow_decompose(mg).items())
     report = Report(f"witt-class {args.file}", order=mg.size, gauss_magnitude_squared=gs.magnitude_squared,
                     gauss_argument=gs.argument, primes=tuple(p for p, _ in parts))
     report.section("input", [f"orders: ({fmt_value(mg.orders)})  |A| = {mg.size}",
                              f"gauss sum: |G|^2 = {gs.magnitude_squared}, argument = {gs.argument} of a turn"])
     final_parts = []
     for p, part in parts:
-        rep, steps = witt.anisotropic_reduction(part, cap=args.element_cap)
-        argument = metric_group.gauss_sum(part, cap=args.element_cap).argument
+        rep, steps = witt.anisotropic_reduction(part)
+        argument = metric_group.gauss_sum(part).argument
         # each step records the argument of the group it produced, so the last is rep's
         rep_argument = steps[-1].argument if steps else argument
         report.section(f"prime {p}", [f"part orders ({fmt_value(part.orders)}), argument {argument}"],
@@ -417,9 +417,8 @@ def _cmd_witt_class(args) -> Report:
 
 
 def _cmd_witt_order(args) -> Report:
-    mg = _load_metric(args.file, args.element_cap)
-    cls = witt.pointed_witt_class(mg, cap=args.element_cap)
-    order = witt.class_order(cls, cap=args.order_cap, element_budget=args.element_cap)
+    cls = witt.pointed_witt_class(_load_metric(args.file))
+    order = witt.class_order(cls)
     report = Report(f"witt-order {args.file}")
     _class_section(report, cls)
     report.section("order", [str(order)], witt_order=order)
@@ -427,9 +426,8 @@ def _cmd_witt_order(args) -> Report:
 
 
 def _cmd_witt_subgroup(args) -> Report:
-    cap = args.element_cap
-    classes = [witt.pointed_witt_class(_load_metric(path, cap), cap=cap) for path in args.files]
-    sub = witt.generated_subgroup(classes, cap=args.closure_cap, element_budget=cap)
+    classes = [witt.pointed_witt_class(_load_metric(path)) for path in args.files]
+    sub = witt.generated_subgroup(classes)
     report = Report("witt-subgroup " + " ".join(args.files), generator_count=len(classes))
     summary = f"order {sub.order}, invariant factors ({fmt_value(sub.invariant_factors)}), group {sub.name()}"
     report.section("subgroup", [summary], subgroup_order=sub.order, invariant_factors=sub.invariant_factors,
@@ -507,8 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a verb without a cap's flag leaves that cap to its variable and default
+    element, order, closure = (getattr(args, dest, None) for dest in ("element_cap", "order_cap", "closure_cap"))
     try:
-        report = args.func(args)
+        with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure):
+            report = args.func(args)
     except FileFormatError as err:
         print(str(err), file=sys.stderr)
         return 2

@@ -150,10 +150,12 @@ def validate_ring(ring: FusionRing) -> list[Violation]:
 class InvertibleGroup:
     """The group of basis elements invertible under the product.
 
-    members are simple indices; table[(g, h)] is the index of g h.
+    members are simple indices and labels their ring labels;
+    table[(g, h)] is the index of g h.
     """
 
     members: tuple[int, ...]
+    labels: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
 
     def multiply(self, g: int, h: int) -> int:
@@ -164,8 +166,10 @@ class InvertibleGroup:
         return len(self.members)
 
     def invariant_factors(self) -> tuple[int, ...]:
+        """Raises ConsistencyError, naming an element by its label, when
+        the table is not a group."""
         position = self.members.index
-        return cayley_invariants([[position(g) for g in row] for row in self.table], position(0))
+        return cayley_invariants([[position(g) for g in row] for row in self.table], position(0), self.labels)
 
     def name(self) -> str:
         return group_name(self.invariant_factors())
@@ -190,7 +194,7 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
                 raise ConsistencyError(f"product of invertibles {g}, {h} is not invertible")
             row.append(cs[0])
         table.append(tuple(row))
-    return InvertibleGroup(members=members, table=tuple(table))
+    return InvertibleGroup(members=members, labels=tuple(ring.labels[g] for g in members), table=tuple(table))
 
 
 def stabilizer(ring: FusionRing, x: int, inv: InvertibleGroup | None = None) -> tuple[int, ...]:

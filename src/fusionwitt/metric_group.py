@@ -60,9 +60,6 @@ class FiniteAbelianGroup:
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def neg(self, x) -> tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
     def scale(self, n: int, x) -> tuple[int, ...]:
         return tuple((n * a) % d for a, d in zip(x, self.orders))
 
@@ -242,7 +239,7 @@ def validate_metric(orders, diag, cross=()) -> list[Violation]:
         return err.violations
 
 
-def _metric(orders, level: int, gram, cap: int | None = None) -> MetricGroup:
+def _metric(orders, level: int, gram) -> MetricGroup:
     """The integer constructor: q(e_i) = G_ii / 2 level and, for i != j,
     b(e_i, e_j) = G_ij / level, for an integer matrix G with even
     diagonal.  The level is divided down to the lcm of the value
@@ -257,19 +254,19 @@ def _metric(orders, level: int, gram, cap: int | None = None) -> MetricGroup:
     if violations:
         raise ValidationError(violations)
     group = FiniteAbelianGroup(tuple(orders))
-    ELEMENT_CAP.check(group.size, f"group of order {group.size}", cap)
+    ELEMENT_CAP.check(group.size, f"group of order {group.size}")
     # the radical is the kernel of x -> G x mod L on A, whose image in
     # (Z/L)^k has order L^k / [Z^k : G Z^k + L Z^k]
     nondegenerate = L**k == group.size * lattice_index(gram, L)
     return MetricGroup(group=group, level=L, gram=gram, nondegenerate=nondegenerate)
 
 
-def metric_group(orders, diag, cross=(), cap: int | None = None) -> MetricGroup:
+def metric_group(orders, diag, cross=()) -> MetricGroup:
     """Validated constructor; raises ValidationError on bad data.
 
     cross: mapping or iterable of ((i, j), value) with 0-based i < j.
     """
-    return _metric(*_integer_data(orders, diag, cross), cap=cap)
+    return _metric(*_integer_data(orders, diag, cross))
 
 
 # -------------------------------------------------------------- gauss sums
@@ -289,23 +286,23 @@ class GaussSum:
     exact: bool = True
 
 
-def gauss_sum(mg: MetricGroup, cap: int | None = None) -> GaussSum:
+def gauss_sum(mg: MetricGroup) -> GaussSum:
     """mg.gauss, computed once per group; the element cap is checked on every call."""
-    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
+    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}")
     return mg.gauss
 
 
 # ------------------------------------------------- rebasing and direct sums
 
 
-def _restricted(ambient: MetricGroup, orders, gens, cap: int | None) -> MetricGroup:
+def _restricted(ambient: MetricGroup, orders, gens) -> MetricGroup:
     """The form of ambient read off gens, taken as generators of these orders."""
     rows = [ambient.pairing_row(h) for h in gens]
     gram = [[2 * ambient.value(h) if i == j else sum(map(mul, row, h)) for j, h in enumerate(gens)] for i, row in enumerate(rows)]
-    return _metric(orders, ambient.level, gram, cap)
+    return _metric(orders, ambient.level, gram)
 
 
-def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], relations: list[list[int]], expected_size: int, cap: int | None = None) -> MetricGroup:
+def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], relations: list[list[int]], expected_size: int) -> MetricGroup:
     """Metric group presented by elements of an ambient group.
 
     relations must span the full relation lattice of gens (including any
@@ -323,10 +320,10 @@ def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], r
     size = prod(o for o, _ in kept) if kept else 1
     if size != expected_size:
         raise ConsistencyError(f"rebased presentation has order {size}, expected {expected_size}")
-    return _restricted(ambient, [o for o, _ in kept], [h for _, h in kept], cap)
+    return _restricted(ambient, [o for o, _ in kept], [h for _, h in kept])
 
 
-def direct_sum(a: MetricGroup, b: MetricGroup, cap: int | None = None) -> MetricGroup:
+def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     """Orthogonal direct sum, re-expressed in invariant-factor form.
 
     The block group (orders of a, then of b, cross terms zero between
@@ -345,13 +342,13 @@ def direct_sum(a: MetricGroup, b: MetricGroup, cap: int | None = None) -> Metric
     ambient = MetricGroup(FiniteAbelianGroup(orders), L, gram, a.nondegenerate and b.nondegenerate)
     gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
     relations = [[orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
-    out = _metric_from_generators(ambient, gens, relations, a.size * b.size, cap=cap)
+    out = _metric_from_generators(ambient, gens, relations, a.size * b.size)
     if out.nondegenerate != (a.nondegenerate and b.nondegenerate):
         raise ConsistencyError("degeneracy not preserved by direct sum")
     return out
 
 
-def sylow_decompose(mg: MetricGroup, cap: int | None = None) -> dict[int, MetricGroup]:
+def sylow_decompose(mg: MetricGroup) -> dict[int, MetricGroup]:
     """Orthogonal splitting into p-primary metric groups.
 
     The p-part of Z_d is generated by (d / p^v) e where p^v is the
@@ -376,13 +373,13 @@ def sylow_decompose(mg: MetricGroup, cap: int | None = None) -> dict[int, Metric
                 m = d // pv
                 orders.append(pv)
                 gens.append(tuple(m if t == i else 0 for t in range(len(mg.orders))))
-        part = _restricted(mg, orders, gens, cap)
+        part = _restricted(mg, orders, gens)
         if not part.nondegenerate:
             raise ConsistencyError(f"Sylow {p}-part of a nondegenerate group is degenerate")
         parts[p] = part
     return parts
 
 
-def inverse_form(mg: MetricGroup, cap: int | None = None) -> MetricGroup:
+def inverse_form(mg: MetricGroup) -> MetricGroup:
     """Same group with q replaced by -q; Gauss sum conjugates."""
-    return _metric(mg.orders, mg.level, [[-c for c in row] for row in mg.gram], cap=cap)
+    return _metric(mg.orders, mg.level, [[-c for c in row] for row in mg.gram])

@@ -33,17 +33,17 @@ from .metric_group import (
 from .snf import integer_kernel
 
 
-def isotropic_elements(mg: MetricGroup, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def isotropic_elements(mg: MetricGroup) -> Iterator[tuple[int, ...]]:
     """Nonzero x with q(x) = 0, lazily in lexicographic order.
 
     The element cap is checked on the call; the group is enumerated only
     as far as the caller reads.
     """
-    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}", cap)
+    ELEMENT_CAP.check(mg.size, f"group of order {mg.size}")
     return (x for x in mg.group.elements() if any(x) and mg.value(x) == 0)
 
 
-def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> MetricGroup:
+def reduce_once(mg: MetricGroup, x: tuple[int, ...]) -> MetricGroup:
     """Quotient x-perp / <x> with the induced form.
 
     Requires mg nondegenerate and x a nonzero isotropic element.  x-perp
@@ -71,13 +71,13 @@ def reduce_once(mg: MetricGroup, x: tuple[int, ...], cap: int | None = None) -> 
     m = len(orders)
     w = [[g[i] for g in gens] + [x[i]] + [d if r == i else 0 for r in range(m)] for i, d in enumerate(orders)]
     relations = [z[: len(gens)] for z in integer_kernel(w)]
-    quotient = _metric_from_generators(mg, gens, relations, mg.size // ord_x**2, cap=cap)
+    quotient = _metric_from_generators(mg, gens, relations, mg.size // ord_x**2)
 
     if quotient.size * ord_x * ord_x != mg.size:
         raise ConsistencyError("reduced group has wrong order")
     if not quotient.nondegenerate:
         raise ConsistencyError("reduction produced a degenerate form")
-    before, after = gauss_sum(mg, cap=cap), gauss_sum(quotient, cap=cap)
+    before, after = gauss_sum(mg), gauss_sum(quotient)
     if before.argument != after.argument:
         raise ConsistencyError(
             f"Gauss argument changed under reduction: {before.argument} -> {after.argument}"
@@ -93,7 +93,7 @@ class ReductionStep:
     argument: Fraction | None
 
 
-def anisotropic_reduction(mg: MetricGroup, cap: int | None = None) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:
+def anisotropic_reduction(mg: MetricGroup) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:
     """Reduce by the lexicographically first isotropic element until none
     remains, which makes the whole pipeline deterministic.
 
@@ -104,16 +104,16 @@ def anisotropic_reduction(mg: MetricGroup, cap: int | None = None) -> tuple[Metr
     steps = []
     current = mg
     while True:
-        x = next(isotropic_elements(current, cap=cap), None)
+        x = next(isotropic_elements(current), None)
         if x is None:
             return current, tuple(steps)
-        reduced = reduce_once(current, x, cap=cap)
+        reduced = reduce_once(current, x)
         steps.append(
             ReductionStep(
                 orders_before=current.orders,
                 chosen=x,
                 orders_after=reduced.orders,
-                argument=gauss_sum(reduced, cap=cap).argument,
+                argument=gauss_sum(reduced).argument,
             )
         )
         current = reduced
@@ -143,7 +143,7 @@ class PointedWittClass:
 IDENTITY_CLASS = PointedWittClass(parts=())
 
 
-def pointed_witt_class(mg: MetricGroup, cap: int | None = None) -> PointedWittClass:
+def pointed_witt_class(mg: MetricGroup) -> PointedWittClass:
     """Witt class of a nondegenerate metric group.
 
     Sylow-decomposes, reduces every part to its anisotropic kernel by
@@ -154,8 +154,8 @@ def pointed_witt_class(mg: MetricGroup, cap: int | None = None) -> PointedWittCl
     if not mg.nondegenerate:
         raise ValueError("Witt class needs a nondegenerate metric group")
     parts = []
-    for p, part in sorted(sylow_decompose(mg, cap=cap).items()):
-        rep, _ = anisotropic_reduction(part, cap=cap)
+    for p, part in sorted(sylow_decompose(mg).items()):
+        rep, _ = anisotropic_reduction(part)
         if rep.size == 1:
             continue
         if p != 2 and rep.size not in (p, p * p):
@@ -218,7 +218,7 @@ def class_eq(c1: PointedWittClass, c2: PointedWittClass) -> bool:
     return all(metric_iso(r1, r2) is not None for (_, r1), (_, r2) in zip(c1.parts, c2.parts))
 
 
-def class_multiply(c1: PointedWittClass, c2: PointedWittClass, cap: int | None = None) -> PointedWittClass:
+def class_multiply(c1: PointedWittClass, c2: PointedWittClass) -> PointedWittClass:
     """Product in the Witt group: per-prime orthogonal sum, re-reduced."""
     parts = []
     for p in sorted(set(c1.primes) | set(c2.primes)):
@@ -226,24 +226,24 @@ def class_multiply(c1: PointedWittClass, c2: PointedWittClass, cap: int | None =
         if r1 is None or r2 is None:
             rep = r1 if r2 is None else r2
         else:
-            rep, _ = anisotropic_reduction(direct_sum(r1, r2, cap=cap), cap=cap)
+            rep, _ = anisotropic_reduction(direct_sum(r1, r2))
         if rep.size > 1:
             parts.append((p, rep))
     return PointedWittClass(parts=tuple(parts))
 
 
-def class_inverse(c: PointedWittClass, cap: int | None = None) -> PointedWittClass:
+def class_inverse(c: PointedWittClass) -> PointedWittClass:
     """Negate every representative form; anisotropy is preserved."""
-    return PointedWittClass(parts=tuple((p, inverse_form(r, cap=cap)) for p, r in c.parts))
+    return PointedWittClass(parts=tuple((p, inverse_form(r)) for p, r in c.parts))
 
 
-def class_order(c: PointedWittClass, cap: int | None = None, element_budget: int | None = None) -> int:
+def class_order(c: PointedWittClass) -> int:
     """Smallest n >= 1 with c**n the identity class."""
     n, acc = 1, c
     while not acc.is_identity():
         n += 1
-        ORDER_CAP.check(n, "class order", cap)
-        acc = class_multiply(acc, c, cap=element_budget)
+        ORDER_CAP.check(n, "class order")
+        acc = class_multiply(acc, c)
     return n
 
 
@@ -265,7 +265,7 @@ class WittSubgroup:
         return group_name(self.invariant_factors)
 
 
-def generated_subgroup(generators, cap: int | None = None, element_budget: int | None = None) -> WittSubgroup:
+def generated_subgroup(generators) -> WittSubgroup:
     """Closure of the generators under class multiplication.
 
     Equality inside the closure is decided by class_eq, so two different
@@ -273,7 +273,7 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
     is multiplied once: its product's index is recorded, later passes
     skip it, and the table is read from the record, so a closure of
     order n costs n**2 class_multiply calls.  Raises CapExceededError
-    when the closure grows past the cap.
+    when the closure grows past the closure cap.
     """
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
     products: dict[tuple[int, int], int] = {}
@@ -284,7 +284,7 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
             if class_eq(e, c):
                 return i
         elements.append(c)
-        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes", cap)
+        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes")
         return len(elements) - 1
 
     for g in generators:
@@ -296,7 +296,7 @@ def generated_subgroup(generators, cap: int | None = None, element_budget: int |
             for j in range(len(elements)):
                 if (i, j) not in products:
                     before = len(elements)
-                    products[i, j] = admit(class_multiply(elements[i], elements[j], cap=element_budget))
+                    products[i, j] = admit(class_multiply(elements[i], elements[j]))
                     changed |= len(elements) > before
     n = len(elements)
     table = tuple(tuple(products[i, j] for j in range(n)) for i in range(n))
@@ -312,7 +312,7 @@ class WittWord:
 
     The exponent lives mod 16.  Equality of words (same pointed class,
     same exponent) is sufficient for equality of the underlying classes
-    but not necessary, hence the FORMAL tag in reports.
+    but not necessary.
     """
 
     pointed: PointedWittClass
@@ -333,15 +333,15 @@ def from_ising_category(exponent: int) -> WittWord:
     return WittWord(pointed=IDENTITY_CLASS, ising_exponent=exponent)
 
 
-def word_compose(w1: WittWord, w2: WittWord, cap: int | None = None) -> WittWord:
+def word_compose(w1: WittWord, w2: WittWord) -> WittWord:
     return WittWord(
-        pointed=class_multiply(w1.pointed, w2.pointed, cap=cap),
+        pointed=class_multiply(w1.pointed, w2.pointed),
         ising_exponent=(w1.ising_exponent + w2.ising_exponent) % 16,
     )
 
 
-def word_inverse(w: WittWord, cap: int | None = None) -> WittWord:
-    return WittWord(pointed=class_inverse(w.pointed, cap=cap), ising_exponent=(-w.ising_exponent) % 16)
+def word_inverse(w: WittWord) -> WittWord:
+    return WittWord(pointed=class_inverse(w.pointed), ising_exponent=(-w.ising_exponent) % 16)
 
 
 def word_eq(w1: WittWord, w2: WittWord) -> bool:
@@ -353,11 +353,11 @@ def word_is_identity(w: WittWord) -> bool:
     return w.ising_exponent == 0 and w.pointed.is_identity()
 
 
-def word_order(w: WittWord, cap: int | None = None, element_budget: int | None = None) -> int:
+def word_order(w: WittWord) -> int:
     """Smallest n >= 1 with w**n the identity word."""
     n, acc = 1, w
     while not word_is_identity(acc):
         n += 1
-        ORDER_CAP.check(n, "word order", cap)
-        acc = word_compose(acc, w, cap=element_budget)
+        ORDER_CAP.check(n, "word order")
+        acc = word_compose(acc, w)
     return n

@@ -155,6 +155,24 @@ def test_verdict_27225_diverges_and_is_withheld():
     assert "27225" in v.notes
 
 
+# the exact notes of the verdict branches that no golden output pins
+PINNED_NOTES = {
+    36: "two-prime criterion: 36 = 2^2 * 3^2 * 1 with square-free cofactor; applies to weakly integral"
+        " nondegenerate braided categories",
+    900: "below-1800 criterion: no two-prime factorization, but 900 is its acknowledged special case; applies to"
+         " weakly integral nondegenerate braided categories",
+    1800: "no criterion applies to 1800",
+    11025: "odd-below-33075 criterion: no two-prime factorization, but 11025 is its acknowledged special case;"
+           " applies to weakly integral nondegenerate braided categories",
+    33075: "no criterion applies to 33075",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_NOTES))
+def test_verdict_notes_are_pinned(n):
+    assert verdict_dimension(n).notes == PINNED_NOTES[n]
+
+
 def test_verdict_large_without_criterion():
     # 44100 = 2^2 3^2 5^2 7^2 is even and above the any-parity bound
     v = verdict_dimension(44100)

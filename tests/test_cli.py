@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,6 +210,18 @@ def test_forced_analyze_names_a_unit_that_is_not_invertible(tmp_path, capsys, fm
     code, out, err = run_cli(capsys, "analyze", "--force", "--format", fmt, path)
     assert (code, out) == (1, "")
     assert err == "the unit 1 is not invertible, so the invertibles form no group\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_forced_analyze_stops_on_a_table_that_is_no_group(tmp_path, fmt):
+    # z4 with g1 g1 = g1: the powers of g1 never reach the unit.  The run
+    # is a child process with a timeout, so a hang fails the test.
+    text = Path(corpus.path("z4.fr")).read_text(encoding="utf-8").replace("N 1 1 2 1\n", "N 1 1 1 1\n")
+    path = write(tmp_path, "z4_not_a_group.fr", text)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "fusionwitt.cli", "analyze", "--force", "--format", fmt, path]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", "powers of g1 never reach the unit\n")
 
 
 def test_analyze_takes_no_element_cap(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_metric
 from fusionwitt import cli, corpus, metric_group as metric_group_module, witt
 from fusionwitt.arith import factorize
+from fusionwitt.caps import ELEMENT_CAP
 from fusionwitt.errors import CapExceededError, ValidationError
 from fusionwitt.fusion_ring import Violation
 from fusionwitt.metric_group import (
@@ -79,8 +80,8 @@ def test_constructor_raises_on_violations():
 
 
 def test_cap_respected():
-    with pytest.raises(CapExceededError):
-        metric_group((17,), [F(1, 17)], cap=10)
+    with ELEMENT_CAP.limit(10), pytest.raises(CapExceededError):
+        metric_group((17,), [F(1, 17)])
 
 
 # --------------------------------------------------- evaluation and radical
@@ -546,7 +547,8 @@ def test_integer_validation_matches_fraction_checker(form):
             metric_group(*form)
         assert err.value.violations == want
     else:
-        metric_group(*form, cap=4096)
+        with ELEMENT_CAP.limit(4096):
+            metric_group(*form)
 
 
 def test_integer_paths_construct_no_fraction(monkeypatch):

@@ -26,3 +26,11 @@ def load(name):
 def test_script_main_exits_zero(capsys, name, argv, expect):
     assert load(name).main(argv) == 0
     assert expect in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_witt_tables_refuses_a_closure_cap_below_one(capsys, value):
+    with pytest.raises(SystemExit) as exited:
+        load("witt_tables").main(["--primes", "3", "--closure-cap", value])
+    assert exited.value.code == 2
+    assert "--closure-cap" in capsys.readouterr().err

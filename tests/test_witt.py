@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import load_metric, random_reduction
 from fusionwitt import cli, corpus, witt
 from fusionwitt.arith import cayley_invariants
-from fusionwitt.caps import CLOSURE_CAP
+from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cyclotomic import CycInt
 from fusionwitt.errors import CapExceededError, ConsistencyError
 from fusionwitt.metric_group import (
@@ -271,8 +271,9 @@ def test_class_orders(semion, z3_third, hyperbolic3):
 
 
 def test_class_order_cap(semion):
-    with pytest.raises(CapExceededError):
-        class_order(pointed_witt_class(semion), cap=3)
+    c = pointed_witt_class(semion)
+    with ORDER_CAP.limit(3), pytest.raises(CapExceededError):
+        class_order(c)
 
 
 def test_order_searches_apply_the_element_budget(semion):
@@ -280,9 +281,10 @@ def test_order_searches_apply_the_element_budget(semion):
     c = pointed_witt_class(semion)
     w = WittWord(pointed=c, ising_exponent=2)
     for order, x in ((class_order, c), (word_order, w)):
-        with pytest.raises(CapExceededError, match="group of order 16 exceeds the element cap 15"):
-            order(x, element_budget=15)
-        assert order(x, element_budget=16) == 8
+        with ELEMENT_CAP.limit(15), pytest.raises(CapExceededError, match="group of order 16 exceeds the element cap 15"):
+            order(x)
+        with ELEMENT_CAP.limit(16):
+            assert order(x) == 8
 
 
 def test_generated_subgroup_z4(z3_third, z3_two_thirds):
@@ -296,11 +298,12 @@ def test_generated_subgroup_z4(z3_third, z3_two_thirds):
 
 
 def test_generated_subgroup_closure_cap(z3_third):
-    with pytest.raises(CapExceededError):
-        generated_subgroup([pointed_witt_class(z3_third)], cap=3)
+    c = pointed_witt_class(z3_third)
+    with CLOSURE_CAP.limit(3), pytest.raises(CapExceededError):
+        generated_subgroup([c])
 
 
-def closure_oracle(generators, cap=None, element_budget=None) -> WittSubgroup:
+def closure_oracle(generators) -> WittSubgroup:
     """Reference closure: every pass multiplies every ordered pair again,
     and the table multiplies all n**2 pairs once more."""
     elements = [IDENTITY_CLASS]
@@ -315,7 +318,7 @@ def closure_oracle(generators, cap=None, element_budget=None) -> WittSubgroup:
         if index_of(c) is not None:
             return False
         elements.append(c)
-        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes", cap)
+        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes")
         return True
 
     for g in generators:
@@ -325,10 +328,8 @@ def closure_oracle(generators, cap=None, element_budget=None) -> WittSubgroup:
         changed = False
         for i in range(len(elements)):
             for j in range(len(elements)):
-                changed |= admit(class_multiply(elements[i], elements[j], cap=element_budget))
-    table = tuple(
-        tuple(index_of(class_multiply(a, b, cap=element_budget)) for b in elements) for a in elements
-    )
+                changed |= admit(class_multiply(elements[i], elements[j]))
+    table = tuple(tuple(index_of(class_multiply(a, b)) for b in elements) for a in elements)
     return WittSubgroup(elements=tuple(elements), table=table, invariant_factors=cayley_invariants(table, 0))
 
 
@@ -354,13 +355,14 @@ def test_closure_matches_recompute_oracle(data):
     p = data.draw(st.sampled_from((2, 3, 5)))
     classes = [pointed_witt_class(mg) for mg in data.draw(st.lists(small_forms(p), min_size=1, max_size=4))]
     for cap in (3, None):
-        try:
-            expected = closure_oracle(classes, cap=cap)
-        except CapExceededError as err:
-            with pytest.raises(CapExceededError, match=re.escape(str(err))):
-                generated_subgroup(classes, cap=cap)
-            continue
-        sub = generated_subgroup(classes, cap=cap)
+        with CLOSURE_CAP.limit(cap):
+            try:
+                expected = closure_oracle(classes)
+            except CapExceededError as err:
+                with pytest.raises(CapExceededError, match=re.escape(str(err))):
+                    generated_subgroup(classes)
+                continue
+            sub = generated_subgroup(classes)
         assert sub.elements == expected.elements
         assert sub.table == expected.table
         assert sub.invariant_factors == expected.invariant_factors
