@@ -269,11 +269,16 @@ def generated_subgroup(generators) -> WittSubgroup:
     """Closure of the generators under class multiplication.
 
     Equality inside the closure is decided by class_eq, so two different
-    presentations of one class occupy one slot.  Each ordered pair (i, j)
-    is multiplied once: its product's index is recorded, later passes
-    skip it, and the table is read from the record, so a closure of
-    order n costs n**2 class_multiply calls.  Raises CapExceededError
-    when the closure grows past the closure cap.
+    presentations of one class occupy one slot.  Every ordered pair
+    (i, j) gets its product's index recorded once, later passes skip it,
+    and the table is read from the record.  Only one pair of each
+    unordered pair of non-identity classes is multiplied: a product with
+    the identity (index 0) is i + j, and since the Witt group is abelian
+    the mirror (j, i) of a recorded pair has its index, the slot admit
+    would find again.  So a closure of order n costs (n - 1) * n / 2
+    class_multiply calls, and what is admitted, and when, is as if every
+    pair were multiplied.  Raises CapExceededError when the closure
+    grows past the closure cap.
     """
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
     products: dict[tuple[int, int], int] = {}
@@ -294,7 +299,13 @@ def generated_subgroup(generators) -> WittSubgroup:
         changed = False
         for i in range(len(elements)):
             for j in range(len(elements)):
-                if (i, j) not in products:
+                if (i, j) in products:
+                    continue
+                if not i or not j:
+                    products[i, j] = i + j
+                elif (j, i) in products:
+                    products[i, j] = products[j, i]
+                else:
                     before = len(elements)
                     products[i, j] = admit(class_multiply(elements[i], elements[j]))
                     changed |= len(elements) > before

@@ -334,26 +334,53 @@ def closure_oracle(generators) -> WittSubgroup:
 
 
 @st.composite
-def small_forms(draw, p):
-    """A nondegenerate form on Z_{p^k} (k <= 3 at p = 2, else k <= 2) or
-    on Z_p x Z_p with a nonzero cross term."""
-    if draw(st.booleans()):
-        k = draw(st.integers(1, 3 if p == 2 else 2))
-        den = 2 * p**k if p == 2 else p**k
-        u = draw(st.integers(1, den - 1).filter(lambda u: u % p))
-        return metric_group((p**k,), (F(u, den),))
-    den = 4 if p == 2 else p
-    diag = (F(draw(st.integers(0, den - 1)), den), F(draw(st.integers(0, den - 1)), den))
-    mg = metric_group((p, p), diag, {(0, 1): F(draw(st.integers(1, p - 1)), p)})
+def cyclic_forms(draw, p, k):
+    """A nondegenerate form on Z_{p^k}."""
+    den = 2 * p**k if p == 2 else p**k
+    u = draw(st.integers(1, den - 1).filter(lambda u: u % p))
+    return metric_group((p**k,), (F(u, den),))
+
+
+@st.composite
+def plane_forms(draw, p, a, b):
+    """A nondegenerate form on Z_{p^a} x Z_{p^b}, a <= b, with a nonzero
+    cross term."""
+    orders = (p**a, p**b)
+    diag = tuple(F(draw(st.integers(0, den - 1)), den) for den in (2 * d if p == 2 else d for d in orders))
+    mg = metric_group(orders, diag, {(0, 1): F(draw(st.integers(1, p**a - 1)), p**a)})
     assume(mg.nondegenerate)
     return mg
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_closure_matches_recompute_oracle(data):
-    p = data.draw(st.sampled_from((2, 3, 5)))
-    classes = [pointed_witt_class(mg) for mg in data.draw(st.lists(small_forms(p), min_size=1, max_size=4))]
+@st.composite
+def two_group_planes(draw):
+    """A plane on Z_{2^a} x Z_{2^b} with a <= 2 and a <= b <= 3."""
+    a = draw(st.integers(1, 2))
+    return draw(plane_forms(2, a, draw(st.integers(a, 3))))
+
+
+@st.composite
+def small_forms(draw, p):
+    """A form on Z_{p^k} (k <= 3 at p = 2, else k <= 2), or a plane: on
+    Z_p x Z_p at odd p, on a two_group_planes group at p = 2."""
+    if draw(st.booleans()):
+        return draw(cyclic_forms(p, draw(st.integers(1, 3 if p == 2 else 2))))
+    return draw(two_group_planes() if p == 2 else plane_forms(p, 1, 1))
+
+
+# up to four small forms at one prime, or a 2-group plane next to a form on
+# Z2, Z4 or Z8, whose closures have order 8 or 16 and copy mirrored pairs
+# in a later pass than the one that multiplied them
+closure_generators = st.one_of(
+    st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.lists(small_forms(p), min_size=1, max_size=4)),
+    st.tuples(two_group_planes(), st.integers(1, 3).flatmap(lambda k: cyclic_forms(2, k))).map(list),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(closure_generators)
+def test_closure_matches_recompute_oracle(forms):
+    classes = [pointed_witt_class(mg) for mg in forms]
     for cap in (3, None):
         with CLOSURE_CAP.limit(cap):
             try:
@@ -400,12 +427,31 @@ def gauss_computations(monkeypatch):
     return count_calls(monkeypatch, CycInt, "conjugate")
 
 
-@pytest.mark.parametrize("names", [("semion.mg",), ("z3_third.mg", "z3_two_thirds.mg"), ("z5_fifth.mg", "z5_two_fifths.mg")])
-def test_closure_multiplies_each_ordered_pair_once(monkeypatch, names):
+CORPUS_2_GROUPS = (
+    "semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_fermion.mg",
+    "z2z2_hyperbolic.mg", "z4_eighth.mg", "z8_sixteenth.mg",
+)
+
+
+@pytest.mark.parametrize(
+    "names,order,calls",
+    [
+        (("semion.mg",), 8, 28),
+        (("z3_third.mg", "z3_two_thirds.mg"), 4, 6),
+        (("z5_fifth.mg", "z5_two_fifths.mg"), 4, 6),
+        (CORPUS_2_GROUPS, 16, 120),
+    ],
+    ids=["semion", "z3_pair", "z5_pair", "corpus_2_groups"],
+)
+def test_closure_multiplies_each_unordered_pair_once(monkeypatch, names, order, calls):
+    """Products with the identity are read off and a mirrored pair is
+    copied, so a closure of order n multiplies (n - 1) * n / 2 pairs."""
     classes = [pointed_witt_class(load_metric(name)) for name in names]
     products = count_calls(monkeypatch, witt, "class_multiply")
     sub = generated_subgroup(classes)
-    assert len(products) == sub.order**2
+    assert sub.order == order
+    assert len(products) == calls == (order - 1) * order // 2
+    assert all(not a.is_identity() and not b.is_identity() for a, b in products)
 
 
 @pytest.mark.parametrize(
