@@ -8,8 +8,8 @@ The three layers:
   characteristic polynomials, invertibles, universal grading, nilpotency.
 * ``metric_group`` / ``witt``: finite abelian groups with nondegenerate
   quadratic forms, exact cyclotomic Gauss sums, anisotropic reduction,
-  pointed Witt classes and the subgroups they generate, formal words with
-  an Ising factor.
+  pointed Witt classes and the subgroups they generate, words with an
+  Ising factor (twice the Ising generator is the pointed [Z4, x^2/8]).
 * ``classifier``: p^a q^b c factorization criteria for categorical
   dimensions, verdicts with witnesses, and exhaustive exception scans.
 

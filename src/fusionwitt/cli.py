@@ -6,11 +6,17 @@ main renders it: human-readable labeled text, or machine key=value lines
 that parse back with parse_machine.  Identical inputs and options
 produce byte-identical output.  Exit status: 0 success, 1 validation or
 computation failure, 2 usage errors including malformed input files.
+
+A process builds its argument parser once (build_parser is cached), and
+main looks each verb's _cmd_ handler up in the module's globals when it
+runs, so a handler rebound after the parser exists is the one called.
+A call leaves no reference cycle behind for the garbage collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -468,48 +474,50 @@ def _cmd_scan(args) -> Report:
 # ------------------------------------------------------------------- main
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call.  It holds no
+    handler: main looks up each verb's _cmd_ function when it runs."""
     parser = argparse.ArgumentParser(prog="fusionwitt", description="exact fusion ring invariants, Witt classes"
                                      " of metric groups, and dimension classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def verb(name, func, help, *caps):
+    def verb(name, help, *caps):
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("text", "machine"), default="text")
         for cap in caps:
             p.add_argument(cap.flag, type=positive_int, default=None, help=f"the {cap.name} (default {cap.default})")
-        p.set_defaults(func=func)
         return p
 
-    p = verb("validate", _cmd_validate, "check a ring or metric group file against the axioms", ELEMENT_CAP)
+    p = verb("validate", "check a ring or metric group file against the axioms", ELEMENT_CAP)
     p.add_argument("file")
-    p = verb("analyze", _cmd_analyze, "full invariant report for a fusion ring")
+    p = verb("analyze", "full invariant report for a fusion ring")
     p.add_argument("file")
     p.add_argument("--force", action="store_true", help="analyze even when validation fails")
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p = verb("witt-class", _cmd_witt_class, "anisotropic reduction trace and Witt class of a metric group", ELEMENT_CAP)
+    p = verb("witt-class", "anisotropic reduction trace and Witt class of a metric group", ELEMENT_CAP)
     p.add_argument("file")
-    p = verb("witt-order", _cmd_witt_order, "order of the Witt class of a metric group", ORDER_CAP, ELEMENT_CAP)
+    p = verb("witt-order", "order of the Witt class of a metric group", ORDER_CAP, ELEMENT_CAP)
     p.add_argument("file")
-    p = verb("witt-subgroup", _cmd_witt_subgroup, "subgroup generated by the Witt classes of metric groups",
+    p = verb("witt-subgroup", "subgroup generated by the Witt classes of metric groups",
              CLOSURE_CAP, ELEMENT_CAP)
     p.add_argument("files", nargs="+")
-    p = verb("classify", _cmd_classify, "dimension verdict from the arithmetic criteria")
+    p = verb("classify", "dimension verdict from the arithmetic criteria")
     p.add_argument("n", type=int)
-    p = verb("scan", _cmd_scan, "exhaustive exception scan below a limit")
+    p = verb("scan", "exhaustive exception scan below a limit")
     p.add_argument("limit", type=int)
     p.add_argument("--odd", action="store_true", help="odd dimensions only")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     # a verb without a cap's flag leaves that cap to its variable and default
     element, order, closure = (getattr(args, dest, None) for dest in ("element_cap", "order_cap", "closure_cap"))
     try:
         with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure):
-            report = args.func(args)
+            report = command(args)
     except FileFormatError as err:
         print(str(err), file=sys.stderr)
         return 2

@@ -7,9 +7,9 @@ integer lattices rather than the group's elements, and uniqueness of the
 anisotropic kernel makes class equality decidable by exact isomorphism
 search on the representatives.
 
-Words combine a pointed class with a formal exponent on the Ising
-generator; word equality is a formal direct-product equality, which is
-sufficient but not necessary for equality of the underlying classes.
+Words combine a pointed class with an exponent on the Ising generator.
+They are not a direct product: 2[Ising] = [Z4, x^2/8], and word
+equality is exact equality of the classes under that relation.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .metric_group import (
     direct_sum,
     gauss_sum,
     inverse_form,
+    metric_group,
     sylow_decompose,
     _metric_from_generators,
 )
@@ -178,37 +179,39 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
     # equal sorted L q values are equal sorted q values
     if a.level != b.level or sorted(map(a.value, a.group.elements())) != sorted(map(b.value, b.group.elements())):
         return None
-    k = len(a.orders)
-    if k == 0:
+    if not a.orders:
         return []
-    belems = list(b.group.elements())
+    return _extend(a, b, list(b.group.elements()), [], [])
 
-    def extend(images: list[tuple[int, ...]], rows: list[tuple[int, ...]]):
-        i = len(images)
-        if i == k:
-            seen = set()
-            for coeffs in a.group.elements():
-                acc = b.group.zero()
-                for c, y in zip(coeffs, images):
-                    acc = b.group.add(acc, b.group.scale(c, y))
-                seen.add(acc)
-            return list(images) if len(seen) == b.size else None
-        # rows are b's pairing rows of the images; the levels are equal,
-        # so values and pairings compare in units of 1/L
-        want, L = a.gram[i], a.level
-        for y in belems:
-            if b.group.scale(a.orders[i], y) != b.group.zero():
-                continue
-            if b.value(y) != want[i] // 2:
-                continue
-            if any(sum(map(mul, rows[j], y)) % L != want[j] for j in range(i)):
-                continue
-            found = extend(images + [y], rows + [b.pairing_row(y)])
-            if found is not None:
-                return found
-        return None
 
-    return extend([], [])
+def _extend(a: MetricGroup, b: MetricGroup, belems: list[tuple[int, ...]], images: list[tuple[int, ...]],
+            rows: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+    """metric_iso's search: the images of a's first len(images)
+    generators are fixed, rows are their pairing rows in b, and the next
+    generator tries every element of belems.  A module-level function,
+    so that the recursion builds no closure that refers to itself."""
+    i = len(images)
+    if i == len(a.orders):
+        seen = set()
+        for coeffs in a.group.elements():
+            acc = b.group.zero()
+            for c, y in zip(coeffs, images):
+                acc = b.group.add(acc, b.group.scale(c, y))
+            seen.add(acc)
+        return list(images) if len(seen) == b.size else None
+    # the levels are equal, so values and pairings compare in units of 1/L
+    want, L = a.gram[i], a.level
+    for y in belems:
+        if b.group.scale(a.orders[i], y) != b.group.zero():
+            continue
+        if b.value(y) != want[i] // 2:
+            continue
+        if any(sum(map(mul, rows[j], y)) % L != want[j] for j in range(i)):
+            continue
+        found = _extend(a, b, belems, images + [y], rows + [b.pairing_row(y)])
+        if found is not None:
+            return found
+    return None
 
 
 def class_eq(c1: PointedWittClass, c2: PointedWittClass) -> bool:
@@ -319,11 +322,11 @@ def generated_subgroup(generators) -> WittSubgroup:
 
 @dataclass(frozen=True)
 class WittWord:
-    """Formal product of a pointed class and an Ising-generator power.
+    """A pointed class times a power of the Ising generator.
 
-    The exponent lives mod 16.  Equality of words (same pointed class,
-    same exponent) is sufficient for equality of the underlying classes
-    but not necessary.
+    The exponent lives mod 16.  Two words with different fields can be
+    the same class, since twice the Ising generator is pointed (see
+    ising_square); compare words with word_eq.
     """
 
     pointed: PointedWittClass
@@ -355,17 +358,32 @@ def word_inverse(w: WittWord) -> WittWord:
     return WittWord(pointed=class_inverse(w.pointed), ising_exponent=(-w.ising_exponent) % 16)
 
 
-def word_eq(w1: WittWord, w2: WittWord) -> bool:
-    """Formal equality: componentwise, no mixing between the factors."""
-    return w1.ising_exponent == w2.ising_exponent and class_eq(w1.pointed, w2.pointed)
+def ising_square() -> PointedWittClass:
+    """2[Ising] = [Z4, x^2/8]: condensing the boson ψ⊠ψ of
+    Ising_a ⊠ Ising_b leaves the pointed class ((a + b)/2)·[Z4, x^2/8]
+    (Davydov–Nikshych–Ostrik, arXiv:1109.5558).  The class has order 8,
+    so the Ising generator has order 16."""
+    return PointedWittClass(parts=((2, metric_group((4,), (Fraction(1, 8),))),))
 
 
 def word_is_identity(w: WittWord) -> bool:
-    return w.ising_exponent == 0 and w.pointed.is_identity()
+    """Whether w is the identity class: its exponent e is even and
+    pointed · (e/2)·[Z4, x^2/8] is the identity."""
+    if w.ising_exponent % 2:
+        return False
+    acc, square = w.pointed, ising_square()
+    for _ in range(w.ising_exponent // 2):
+        acc = class_multiply(acc, square)
+    return acc.is_identity()
+
+
+def word_eq(w1: WittWord, w2: WittWord) -> bool:
+    """Equality of the classes: w1 · w2^-1 is the identity."""
+    return word_is_identity(word_compose(w1, word_inverse(w2)))
 
 
 def word_order(w: WittWord) -> int:
-    """Smallest n >= 1 with w**n the identity word."""
+    """Smallest n >= 1 with w**n the identity class."""
     n, acc = 1, w
     while not word_is_identity(acc):
         n += 1

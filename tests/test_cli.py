@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -415,3 +418,71 @@ def test_reports_are_deterministic(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# ---------------------------------------------------- one parser per process
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_cap_flag_does_not_outlive_its_call(capsys):
+    path = corpus.path("semion.mg")
+    code, _, err = run_cli(capsys, "witt-order", path, "--order-cap", "4")
+    assert code == 1
+    assert "class order exceeds the order cap 4; raise it with FUSIONWITT_ORDER_CAP or --order-cap" in err
+    code, out, _ = run_cli(capsys, "witt-order", path, "--format", "machine")
+    assert code == 0
+    assert "witt_order=8\n" in out
+
+
+def test_a_cap_variable_set_after_the_parser_is_built_is_read(capsys, monkeypatch):
+    cli.build_parser()
+    monkeypatch.setenv("FUSIONWITT_ORDER_CAP", "4")
+    code, _, err = run_cli(capsys, "witt-order", corpus.path("semion.mg"))
+    assert code == 1
+    assert "exceeds the order cap 4; raise it with FUSIONWITT_ORDER_CAP" in err
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    argv = ["analyze", corpus.path("rep_s3.fr")]
+    before = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as err:
+        main(["witt-class"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == before
+
+
+def test_calls_leave_no_reference_cycles(tmp_path):
+    # a cycle is freed only by the collector, so a call that leaves one
+    # behind makes garbage on every call.  Every corpus file goes through
+    # each verb that reads it, then classify and scan, in both formats;
+    # degenerate forms exit 1, and a malformed file exits 2.
+    verbs = {".fr": ("validate", "analyze"), ".mg": ("validate", "witt-class", "witt-order", "witt-subgroup")}
+    runs = [[verb, corpus.path(name)] for name in corpus.names() for verb in verbs[Path(name).suffix]]
+    runs += [["classify", "27225"], ["classify", "1800"], ["scan", "1800"], ["scan", "33075", "--odd"]]
+    runs += [["witt-class", write(tmp_path, "bad.mg", "orders 2\nq x\n")]]
+    runs = [[*argv, "--format", fmt] for argv in runs for fmt in ("text", "machine")]
+
+    def call(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    for argv in {argv[0]: argv for argv in runs}.values():
+        call(argv)
+    # the objects alive now are frozen, so each collection looks only at
+    # what the calls made
+    gc.collect()
+    gc.disable()
+    gc.freeze()
+    try:
+        statuses = set()
+        for argv in runs:
+            statuses.add(call(argv))
+            assert gc.collect() == 0, f"{argv} left reference cycles"
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert statuses == {0, 1, 2}

@@ -31,3 +31,56 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def self_calling_closures(source: str) -> list[str]:
+    """Functions nested in a function that call themselves by name.
+
+    Such a function's closure cell holds the function, which holds the
+    cell: a reference cycle, made anew on every call of the enclosing
+    function, that only the garbage collector frees.
+    """
+    found = []
+
+    def visit(node, path: tuple[str, ...], in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (n for n in ast.walk(child) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name))
+                if in_function and any(call.func.id == child.name for call in calls):
+                    found.append(f"line {child.lineno}: {'.'.join((*path, child.name))}")
+                visit(child, (*path, child.name), True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, (*path, child.name), False)
+            else:
+                visit(child, path, in_function)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
+def test_self_calling_closures_are_found():
+    source = (
+        "def walk(n):\n"
+        "    def down(k):\n"
+        "        return 0 if k == 0 else down(k - 1)\n"
+        "    def once(k):\n"
+        "        return walk(k)\n"
+        "    return down(n) + once(n)\n"
+    )
+    assert self_calling_closures(source) == ["line 2: walk.down"]
+
+
+def test_recursion_at_module_or_class_level_is_no_closure():
+    source = (
+        "def down(k):\n"
+        "    return 0 if k == 0 else down(k - 1)\n"
+        "class Tree:\n"
+        "    def down(self, k):\n"
+        "        return down(k)\n"
+    )
+    assert self_calling_closures(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_nested_function_calls_itself(path):
+    assert self_calling_closures(path.read_text(encoding="utf-8")) == []

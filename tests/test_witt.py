@@ -36,6 +36,7 @@ from fusionwitt.witt import (
     class_order,
     from_ising_category,
     generated_subgroup,
+    ising_square,
     isotropic_elements,
     metric_iso,
     pointed_witt_class,
@@ -277,14 +278,18 @@ def test_class_order_cap(semion):
 
 
 def test_order_searches_apply_the_element_budget(semion):
-    # semion's powers reach a group of order 16 before they reduce to the identity
+    # semion's powers reach a group of order 16 before they reduce to the
+    # identity; the word's identity test adds [Z4, x^2/8] to them and
+    # reaches a group of order 32
     c = pointed_witt_class(semion)
     w = WittWord(pointed=c, ising_exponent=2)
-    for order, x in ((class_order, c), (word_order, w)):
-        with ELEMENT_CAP.limit(15), pytest.raises(CapExceededError, match="group of order 16 exceeds the element cap 15"):
+    for order, x, largest, expected in ((class_order, c, 16, 8), (word_order, w, 32, 4)):
+        with ELEMENT_CAP.limit(largest - 1), pytest.raises(
+            CapExceededError, match=f"group of order {largest} exceeds the element cap {largest - 1}"
+        ):
             order(x)
-        with ELEMENT_CAP.limit(16):
-            assert order(x) == 8
+        with ELEMENT_CAP.limit(largest):
+            assert order(x) == expected
 
 
 def test_generated_subgroup_z4(z3_third, z3_two_thirds):
@@ -543,16 +548,37 @@ def test_word_composition_wraps_mod_sixteen():
     assert word_is_identity(w)
 
 
-def test_word_with_pointed_part(semion):
-    w = WittWord(pointed=pointed_witt_class(semion), ising_exponent=2)
-    assert word_order(w) == 8
+def test_twice_the_ising_generator_is_pointed(semion):
+    z4 = pointed_witt_class(load_metric("z4_eighth.mg"))
+    assert class_eq(ising_square(), z4)
+    assert class_order(z4) == 8
+    assert word_eq(WittWord(pointed=z4, ising_exponent=0), WittWord(pointed=IDENTITY_CLASS, ising_exponent=2))
+    assert not word_eq(WittWord(pointed=z4, ising_exponent=0), ISING_GENERATOR_WORD)
+    # (s, 2k) and (s + k [Z4, x^2/8], 0) are one class, for every k
+    s, acc = pointed_witt_class(semion), pointed_witt_class(semion)
+    for k in range(8):
+        assert word_eq(WittWord(pointed=s, ising_exponent=2 * k), WittWord(pointed=acc, ising_exponent=0))
+        assert not word_eq(WittWord(pointed=s, ising_exponent=2 * k + 1), WittWord(pointed=acc, ising_exponent=0))
+        acc = class_multiply(acc, z4)
+
+
+def test_word_order_is_the_order_of_the_class(semion, z3_third):
+    s = pointed_witt_class(semion)
+    z4 = pointed_witt_class(load_metric("z4_eighth.mg"))
+    w = WittWord(pointed=s, ising_exponent=2)
+    assert word_order(w) == class_order(class_multiply(s, z4)) == 4
     assert word_eq(w, w)
     assert not word_eq(w, ISING_GENERATOR_WORD)
     assert word_is_identity(word_compose(w, word_inverse(w)))
+    # an odd exponent is never pointed; an odd prime's part has its own order
+    assert not word_is_identity(WittWord(pointed=s, ising_exponent=7))
+    assert word_order(WittWord(pointed=pointed_witt_class(z3_third), ising_exponent=2)) == 8
+    for e in range(16):
+        assert word_order(WittWord(pointed=IDENTITY_CLASS, ising_exponent=e)) == 16 // gcd(e, 16)
 
 
-def test_word_equality_is_formal(semion):
-    # same exponent, different pointed parts: formally different
+def test_words_with_different_pointed_parts_differ(semion):
+    # same exponent, pointed parts of different classes
     w1 = WittWord(pointed=pointed_witt_class(semion), ising_exponent=3)
     w2 = WittWord(pointed=IDENTITY_CLASS, ising_exponent=3)
     assert not word_eq(w1, w2)
