@@ -95,25 +95,6 @@ def factor_paqbc(n: int, factors: dict[int, int] | None = None) -> Factorization
     return Factorization(n=n, p=p, a=a, q=q, b=b, c=n // (p**a * q**b))
 
 
-def factorizes_oracle(n: int, factors: dict[int, int] | None = None) -> bool:
-    """Independent check that some p^a q^b c factorization exists.
-
-    Walks the square-free divisors c of n and asks whether n / c has at
-    most two distinct prime factors.  Shares no code path with the
-    witness search above.
-    """
-    factors = factors if factors is not None else factorize(n)
-    primes = list(factors)
-    for mask in range(1 << len(primes)):
-        c = 1
-        for bit, p in enumerate(primes):
-            if mask >> bit & 1:
-                c *= p
-        if len(factorize(n // c)) <= 2:
-            return True
-    return False
-
-
 class VerdictKind(Enum):
     SOLVABLE_SINGLE_PRIME = "SolvableSinglePrime"
     WGT_TWO_PRIMES = "WGTTwoPrimes"

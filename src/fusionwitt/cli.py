@@ -340,11 +340,24 @@ def _cmd_analyze(args) -> Report:
     if violations and not args.force:
         report.status, report.error = 1, "invalid ring; rerun with --force to analyze anyway"
         return report
+    try:
+        _analysis(report, ring, args.tolerance)
+    except FusionWittError as err:
+        if not violations:
+            raise
+        # a layer broke on a ring forced past its violations: the report
+        # keeps them, and what was computed before the break
+        report.status, report.error = 1, str(err)
+    return report
+
+
+def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) -> None:
+    """The sections of analyze after validation, added to report."""
 
     def braced(members) -> str:
         return "{" + ", ".join(ring.labels[i] for i in members) + "}"
 
-    data = fpdim.fp_dim_data(ring, tolerance=args.tolerance)
+    data = fpdim.fp_dim_data(ring, tolerance=tolerance)
     report.section("dimensions")
     for i, label in enumerate(ring.labels):
         cert = data.exact_square[i]
@@ -390,7 +403,6 @@ def _cmd_analyze(args) -> Report:
     prime_desc = "none" if pp is None else "pointed" if pp.pointed else str(pp.prime)
     verdict = classifier.verdict_ring(ring, data)
     _verdict(report, verdict, [f"simple dims prime power: {prime_desc}"], witness_last=True, prime_power=prime_desc)
-    return report
 
 
 def _cmd_witt_class(args) -> Report:

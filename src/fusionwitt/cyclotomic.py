@@ -2,9 +2,10 @@
 
 Elements of Z[zeta_n] are stored as integer coefficient vectors reduced
 modulo the n-th cyclotomic polynomial, so equality of two expressions in
-n-th roots of unity is equality of tuples.  No floating point enters any
-equality decision; numeric() exists only for sign disambiguation and
-display, with errors far below the gaps it has to resolve.
+n-th roots of unity is equality of tuples.  An element is built from
+exponent counts and multiplied; that is all a Gauss sum needs.  No
+floating point enters any equality decision; numeric() exists only for
+sign disambiguation, with errors far below the gaps it has to resolve.
 
 Phi_n is sparse at the levels a metric group meets (n = lcm(8, L)): with
 r the product of the primes of n, Phi_n(x) = Phi_r(x**(n/r)), so Phi_n
@@ -102,25 +103,9 @@ class CycInt:
             vec[e % order] += c
         return CycInt(order, _reduce(vec, order))
 
-    @staticmethod
-    def root_of_unity(order: int, e: int) -> CycInt:
-        return CycInt.from_exponent_counts(order, {e: 1})
-
-    @staticmethod
-    def integer(order: int, value: int) -> CycInt:
-        return CycInt.from_exponent_counts(order, {0: value})
-
     def _require_same(self, other: CycInt) -> None:
         if self.order != other.order:
             raise ValueError("mixed cyclotomic orders")
-
-    def __add__(self, other: CycInt) -> CycInt:
-        self._require_same(other)
-        return CycInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: CycInt) -> CycInt:
-        self._require_same(other)
-        return CycInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: CycInt) -> CycInt:
         self._require_same(other)
@@ -131,25 +116,6 @@ class CycInt:
                     if b:
                         conv[(i + j) % self.order] += a * b
         return CycInt(self.order, _reduce(conv, self.order))
-
-    def scaled(self, k: int) -> CycInt:
-        return CycInt(self.order, tuple(k * a for a in self.coeffs))
-
-    def conjugate(self) -> CycInt:
-        counts: dict[int, int] = {}
-        for i, a in enumerate(self.coeffs):
-            if a:
-                counts[(self.order - i) % self.order] = counts.get((self.order - i) % self.order, 0) + a
-        return CycInt.from_exponent_counts(self.order, counts)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def as_integer(self) -> int | None:
-        """The value as a rational integer, or None if it is not one."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
 
     def numeric(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)

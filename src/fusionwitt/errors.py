@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the Violation a
+ValidationError carries."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One broken axiom, with enough indices to locate it."""
+
+    kind: str
+    where: tuple
+    detail: str
+
+    def __str__(self) -> str:
+        spot = ",".join(str(w) for w in self.where)
+        return f"{self.kind}[{spot}]: {self.detail}"
 
 
 class FusionWittError(Exception):

@@ -13,20 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arith import cayley_invariants, group_name
-from .errors import ConsistencyError, ValidationError
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One broken axiom, with enough indices to locate it."""
-
-    kind: str
-    where: tuple
-    detail: str
-
-    def __str__(self) -> str:
-        spot = ",".join(str(w) for w in self.where)
-        return f"{self.kind}[{spot}]: {self.detail}"
+from .errors import ConsistencyError, ValidationError, Violation
 
 
 @dataclass(frozen=True)

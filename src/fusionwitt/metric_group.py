@@ -10,8 +10,8 @@ matrix, without enumerating the group.  Fractions appear only at the
 edges: metric_group() and validate_metric() read Fraction input, and
 q, b and the derived form hand values back out.  The Gauss sum is
 computed once per (immutable) object.  Degenerate forms are
-representable (the radical can be nontrivial); nondegeneracy is
-recorded on the object.
+representable (the radical can be nontrivial) and nondegeneracy is
+recorded on the object, but only a nondegenerate form has a Gauss sum.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from operator import mul
 from .arith import factorize
 from .caps import ELEMENT_CAP
 from .cyclotomic import CycInt
-from .errors import ConsistencyError, ValidationError
-from .fusion_ring import Violation
+from .errors import ConsistencyError, ValidationError, Violation
 from .snf import lattice_index, mat_mul, rebase_presentation
 
 
@@ -123,43 +122,34 @@ class MetricGroup:
     def gauss(self) -> GaussSum:
         """Sum of exp(2 pi i q(x)) over the group, computed exactly, once.
 
-        The argument is pinned down in two exact steps: G * conj(G) gives
-        |G|^2, and comparing G**2 against |G|^2 * i**m fixes the argument
-        mod pi; the remaining sign is separated numerically with error
-        orders of magnitude below the gap of 2|G| >= 2.
-
-        For a nondegenerate form the Milgram relation |G|^2 = |A| and
-        argument in (1/8)Z is enforced as a postcondition.  Unchecked
-        against the element cap: read it through gauss_sum.
+        Only a nondegenerate form has one here; a degenerate form raises
+        ValueError.  By Milgram's formula G = sqrt|A| exp(2 pi i k / 8),
+        so G**2 = |A| i**m for exactly one m in 0..3.  That one exact
+        comparison fixes the argument mod 1/2 of a turn and is the whole
+        Milgram check, since |G|**4 = |A|**2 follows from it; a miss
+        raises ConsistencyError.  The remaining sign is separated
+        numerically with error orders of magnitude below the gap of
+        2|G| >= 2.  Unchecked against the element cap: read it through
+        gauss_sum.
         """
+        if not self.nondegenerate:
+            raise ValueError("Gauss sum needs a nondegenerate metric group")
         level = lcm(8, self.level)
         step = level // self.level
         counts = Counter(map(self.value, self.group.elements()))
         g = CycInt.from_exponent_counts(level, {v * step: c for v, c in counts.items()})
-        mag2 = (g * g.conjugate()).as_integer()
-        if mag2 is None:
-            raise ConsistencyError("G * conj(G) is not a rational integer")
-        if mag2 == 0:
-            result = GaussSum(magnitude_squared=0, argument=None)
-        else:
-            g2 = g * g
-            quarter = next(
-                (m for m in range(4) if g2 == CycInt.root_of_unity(level, m * level // 4).scaled(mag2)),
-                None,
-            )
-            if quarter is None:
-                raise ConsistencyError("G**2 is not |G|^2 times a fourth root of unity")
-            # argument is quarter/8 or quarter/8 + 1/2 of a turn; the numeric
-            # value of G rotated back is +-|G|, and |G| >= 1 dwarfs float error
-            rotated = g.numeric() * cmath.exp(-2j * cmath.pi * quarter / 8)
-            eighths = quarter if rotated.real > 0 else quarter + 4
-            result = GaussSum(magnitude_squared=mag2, argument=Fraction(eighths, 8) % 1)
-        if self.nondegenerate:
-            if result.magnitude_squared != self.size or result.argument is None:
-                raise ConsistencyError(
-                    f"Milgram check failed: |G|^2 = {result.magnitude_squared} on a nondegenerate group of order {self.size}"
-                )
-        return result
+        g2 = g * g
+        quarter = next(
+            (m for m in range(4) if g2 == CycInt.from_exponent_counts(level, {m * level // 4: self.size})),
+            None,
+        )
+        if quarter is None:
+            raise ConsistencyError(f"Milgram check failed: G**2 is not {self.size} times a fourth root of unity")
+        # argument is quarter/8 or quarter/8 + 1/2 of a turn; the numeric
+        # value of G rotated back is +-|G|, and |G| >= 1 dwarfs float error
+        rotated = g.numeric() * cmath.exp(-2j * cmath.pi * quarter / 8)
+        eighths = quarter if rotated.real > 0 else quarter + 4
+        return GaussSum(magnitude_squared=self.size, argument=Fraction(eighths, 8) % 1)
 
     def _require_element(self, x) -> None:
         orders = self.orders
@@ -274,20 +264,16 @@ def metric_group(orders, diag, cross=()) -> MetricGroup:
 
 @dataclass(frozen=True)
 class GaussSum:
-    """Exact Gauss sum data: |G|^2 as an integer and the argument as a
-    fraction of a full turn (multiples of 1/8 whenever G != 0).
-
-    argument None means the sum is zero.  exact records that both fields
-    were decided in cyclotomic integer arithmetic.
-    """
+    """Exact Gauss sum data of a nondegenerate form: |G|^2 = |A| and the
+    argument as a fraction of a full turn, a multiple of 1/8."""
 
     magnitude_squared: int
-    argument: Fraction | None
-    exact: bool = True
+    argument: Fraction
 
 
 def gauss_sum(mg: MetricGroup) -> GaussSum:
-    """mg.gauss, computed once per group; the element cap is checked on every call."""
+    """mg.gauss, computed once per group; the element cap is checked on
+    every call, and a degenerate form raises ValueError."""
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}")
     return mg.gauss
 

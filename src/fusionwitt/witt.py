@@ -91,7 +91,7 @@ class ReductionStep:
     orders_before: tuple[int, ...]
     chosen: tuple[int, ...]
     orders_after: tuple[int, ...]
-    argument: Fraction | None
+    argument: Fraction
 
 
 def anisotropic_reduction(mg: MetricGroup) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fusionwitt import cli, corpus
+from fusionwitt.arith import factorize
 from fusionwitt.metric_group import metric_group
 from fusionwitt.witt import isotropic_elements, reduce_once
 
@@ -24,6 +25,24 @@ def random_reduction(mg, rng):
         if not candidates:
             return mg
         mg = reduce_once(mg, rng.choice(candidates))
+
+
+def factorizes_oracle(n: int) -> bool:
+    """Independent check that some p^a q^b c factorization of n exists.
+
+    Walks the square-free divisors c of n and asks whether n / c has at
+    most two distinct prime factors.  Shares no code path with the
+    witness search of classifier.factor_paqbc.
+    """
+    primes = list(factorize(n))
+    for mask in range(1 << len(primes)):
+        c = 1
+        for bit, p in enumerate(primes):
+            if mask >> bit & 1:
+                c *= p
+        if len(factorize(n // c)) <= 2:
+            return True
+    return False
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_metric, load_ring, random_reduction
+from conftest import factorizes_oracle, load_metric, load_ring, random_reduction
 from fusionwitt import classifier, corpus, fpdim, witt
 from fusionwitt.arith import factorize
 from fusionwitt.classifier import VerdictKind
@@ -181,7 +181,7 @@ def test_scan_reproduction_and_oracle():
     assert "divergence" in classifier.verdict_dimension(27225).notes
 
     for n in range(1, 100_001):
-        assert (classifier.factor_paqbc(n) is not None) == classifier.factorizes_oracle(n)
+        assert (classifier.factor_paqbc(n) is not None) == factorizes_oracle(n)
 
 
 @criterion("anisotropic representative independent of choices across 20 seeds")

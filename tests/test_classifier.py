@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import factorizes_oracle
 from fusionwitt.arith import factorize_with_sieve, is_square_free, smallest_factor_sieve
 from fusionwitt.classifier import (
     Factorization,
     VerdictKind,
     factor_pac,
     factor_paqbc,
-    factorizes_oracle,
     scan_exceptions,
     verdict_dimension,
     verdict_ring,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fusionwitt import cli, corpus, fpdim
+from fusionwitt import cli, corpus, fpdim, fusion_ring
 from fusionwitt.cli import (
     FileFormatError,
     fmt_value,
@@ -199,6 +199,21 @@ def test_syntax_error_exits_two(tmp_path, capsys):
     assert "expected 'rank" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("qzero.mg", "orders 2\nq 1/0\n", "qzero.mg:2: q values must be exact fractions"),
+        ("bzero.mg", "orders 2 2\nq 1/4 1/4\nb 1 2 1/0\n", "bzero.mg:3: expected integer indices and a fraction"),
+    ],
+)
+def test_zero_denominator_is_a_file_format_error(tmp_path, monkeypatch, capsys, fmt, name, text, message):
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
+    write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "validate", "--format", fmt, name) == (2, "", message + "\n")
+
+
 def test_analyze_refuses_invalid_without_force(tmp_path, capsys):
     path = write(tmp_path, "broken.fr", BROKEN_Z2)
     code, _, err = run_cli(capsys, "analyze", path)
@@ -206,12 +221,26 @@ def test_analyze_refuses_invalid_without_force(tmp_path, capsys):
     assert "--force" in err
 
 
+def assert_reports_forced_violations(out: str, fmt: str, path: str) -> None:
+    """out is an analyze report that lists every violation of the ring
+    at path under the forced-past heading (text) or counts them (machine)."""
+    violations = [str(v) for v in fusion_ring.validate_ring(parse_ring_file(path))]
+    assert violations
+    if fmt == "text":
+        assert out.startswith(f"analyze {path}\n")
+        assert "\nviolations (forced past)\n" + "".join(f"  {v}\n" for v in violations) in out
+    else:
+        assert out.startswith("rank=") and f"\nvalid=false\nviolation_count={len(violations)}\n" in out
+
+
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_forced_analyze_names_a_unit_that_is_not_invertible(tmp_path, capsys, fmt):
-    # X0 X0 = 2 X0: the ring has no invertibles, so no group of them
+    # X0 X0 = 2 X0: the ring has no invertibles, so no group of them; the
+    # report keeps the violations it was forced past
     path = write(tmp_path, "unit2.fr", "rank 1\nlabels 1\ndual 0\nN 0 0 0 2\n")
     code, out, err = run_cli(capsys, "analyze", "--force", "--format", fmt, path)
-    assert (code, out) == (1, "")
+    assert code == 1
+    assert_reports_forced_violations(out, fmt, path)
     assert err == "the unit 1 is not invertible, so the invertibles form no group\n"
 
 
@@ -224,7 +253,8 @@ def test_forced_analyze_stops_on_a_table_that_is_no_group(tmp_path, fmt):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     argv = [sys.executable, "-m", "fusionwitt.cli", "analyze", "--force", "--format", fmt, path]
     run = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
-    assert (run.returncode, run.stdout, run.stderr) == (1, "", "powers of g1 never reach the unit\n")
+    assert (run.returncode, run.stderr) == (1, "powers of g1 never reach the unit\n")
+    assert_reports_forced_violations(run.stdout, fmt, path)
 
 
 def test_analyze_takes_no_element_cap(capsys):
@@ -236,7 +266,8 @@ def test_analyze_takes_no_element_cap(capsys):
 
 # exit status, stdout and stderr of analyze on invalid rings, recorded
 # before reports were rebuilt on one record: the broken z2 ring (whose
-# forced analysis fails in the power iteration) and Ising with eps x eps
+# forced analysis fails in the power iteration, re-recorded once its
+# report kept the violations forced past) and Ising with eps x eps
 # containing eps (associativity fails, forced analysis completes)
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 

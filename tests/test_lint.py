@@ -84,3 +84,55 @@ def test_recursion_at_module_or_class_level_is_no_closure():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_nested_function_calls_itself(path):
     assert self_calling_closures(path.read_text(encoding="utf-8")) == []
+
+
+SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
+
+
+def oracle_definitions(source: str) -> list[str]:
+    """Functions, classes and variables named *_oracle that source defines.
+
+    An oracle is the independent check a test compares a fast path
+    against, and it lives under tests/, not in the package it checks.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        else:
+            continue
+        if name.endswith("_oracle"):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_oracle_definitions_are_found():
+    source = (
+        "def dense_reduce_oracle(v):\n"
+        "    return v\n"
+        "class Table_oracle:\n"
+        "    pass\n"
+        "for step_oracle in ():\n"
+        "    pass\n"
+        "cached_oracle = dense_reduce_oracle\n"
+    )
+    assert oracle_definitions(source) == [
+        "line 1: dense_reduce_oracle", "line 3: Table_oracle", "line 5: step_oracle", "line 7: cached_oracle",
+    ]
+
+
+def test_names_that_only_use_or_mention_an_oracle_are_no_definition():
+    source = (
+        "from checks import factorizes_oracle\n"
+        "oracle_limit = 3\n"
+        "def run_oracle_check(oracle):\n"
+        "    return factorizes_oracle(oracle_limit)\n"
+    )
+    assert oracle_definitions(source) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(PACKAGE.parent)) for p in SOURCES])
+def test_package_defines_no_oracle(path):
+    assert oracle_definitions(path.read_text(encoding="utf-8")) == []

@@ -168,7 +168,6 @@ def test_gauss_sum_table(name, mag2, argument):
     gs = gauss_sum(load_metric(name))
     assert gs.magnitude_squared == mag2
     assert gs.argument == argument
-    assert gs.exact
 
 
 def numeric_gauss(mg):
@@ -189,14 +188,12 @@ def test_gauss_sum_numeric_oracle(name, mag2, argument):
 
 
 def test_gauss_sum_of_degenerate_forms():
-    fermion = load_metric("z2_fermion_degenerate.mg")
-    gs = gauss_sum(fermion)
-    assert gs.magnitude_squared == 0
-    assert gs.argument is None
-    zero_form = metric_group((2,), [F(0)])
-    gs0 = gauss_sum(zero_form)
-    assert gs0.magnitude_squared == 4
-    assert gs0.argument == 0
+    # only nondegenerate forms have a Gauss sum: the fermion's sum is 0,
+    # and q = 0 on Z2 sums to 2
+    for mg in (load_metric("z2_fermion_degenerate.mg"), metric_group((2,), [F(0)])):
+        assert not mg.nondegenerate
+        with pytest.raises(ValueError, match="nondegenerate"):
+            gauss_sum(mg)
 
 
 def test_gauss_argument_conjugates_under_inverse(semion, semion_bar):
@@ -275,12 +272,16 @@ def test_random_diagonal_forms_validate_and_satisfy_milgram(data):
     orders, diag = diagonal_form(data.draw)
     assert validate_metric(orders, diag) == []
     mg = metric_group(orders, diag)
-    gs = gauss_sum(mg)  # enforces Milgram internally when nondegenerate
-    if mg.nondegenerate:
-        assert gs.magnitude_squared == mg.size
-        assert gs.argument is not None and 8 * gs.argument % 1 == 0
+    if not mg.nondegenerate:
+        with pytest.raises(ValueError):
+            gauss_sum(mg)
+        return
+    gs = gauss_sum(mg)  # the exact G**2 test is the Milgram check
+    assert gs.magnitude_squared == mg.size
+    assert 8 * gs.argument % 1 == 0
     g = numeric_gauss(mg)
     assert abs(abs(g) ** 2 - gs.magnitude_squared) < 1e-8
+    assert circular_close(cmath.phase(g) / (2 * cmath.pi), float(gs.argument))
 
 
 # ------------------------------------- integer evaluator against Fractions
@@ -339,13 +340,14 @@ def test_integer_evaluator_matches_fraction_oracle(form):
     assert mg.nondegenerate == (rad == [g.zero()])
     isotropic = [x for x in elements if any(x) and q[x] == 0]
     assert list(isotropic_elements(mg)) == isotropic
+    if not mg.nondegenerate:
+        with pytest.raises(ValueError):
+            gauss_sum(mg)
+        return
     numeric = sum(cmath.exp(2j * cmath.pi * v) for v in q.values())
     gs = gauss_sum(mg)
     assert abs(abs(numeric) ** 2 - gs.magnitude_squared) < 1e-8
-    if gs.argument is not None:
-        assert circular_close(cmath.phase(numeric) / (2 * cmath.pi), float(gs.argument))
-    if not mg.nondegenerate:
-        return
+    assert circular_close(cmath.phase(numeric) / (2 * cmath.pi), float(gs.argument))
     for x in isotropic[:1] + isotropic[-1:]:
         # x-perp / <x>: q is constant on the cosets of <x> inside x-perp, so
         # the quotient's values, each counted ord(x) times, are q on x-perp

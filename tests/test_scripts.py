@@ -40,6 +40,15 @@ def test_witt_tables_refuses_a_closure_cap_below_one(capsys, value):
     assert "--closure-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_scan_bounds_refuses_an_oracle_limit_below_one(capsys, value):
+    # the scan it compares against needs a limit of at least 2
+    with pytest.raises(SystemExit) as exited:
+        load("scan_bounds").main(["--oracle-limit", value])
+    assert exited.value.code == 2
+    assert "--oracle-limit" in capsys.readouterr().err
+
+
 def test_pool_outputs_digests_each_jobs_stdout(capsys, monkeypatch, tmp_path):
     module = load("pool_outputs")
     make_pool = module.workloads.make_pool

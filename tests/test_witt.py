@@ -1,7 +1,9 @@
+import importlib.util
 import random
 import re
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -413,6 +415,9 @@ def test_randomized_choices_reach_the_same_class():
 # ------------------------------------------------------ operation counts
 
 
+POOL_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / "pool_outputs.py"
+
+
 def count_calls(monkeypatch, owner, name):
     """Record the arguments of every call to owner.name from here on."""
     calls = []
@@ -427,9 +432,24 @@ def count_calls(monkeypatch, owner, name):
 
 
 def gauss_computations(monkeypatch):
-    """Each Gauss sum computation conjugates the sum once, and nothing
-    else in the package conjugates; the list records each sum computed."""
-    return count_calls(monkeypatch, CycInt, "conjugate")
+    """The list records each Gauss sum computed: each call of the function
+    behind the cached property MetricGroup.gauss."""
+    return count_calls(monkeypatch, MetricGroup.gauss, "func")
+
+
+def test_each_gauss_sum_makes_one_cyclotomic_product(monkeypatch, capsys):
+    # G**2 is the only product in Z[zeta] a sum takes; the seed-1
+    # witt_reduce benchmark pool, run as scripts/pool_outputs.py runs it,
+    # computes 381 sums
+    spec = importlib.util.spec_from_file_location("pool_outputs", POOL_OUTPUTS)
+    pool_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool_outputs)
+    sums = gauss_computations(monkeypatch)
+    products = count_calls(monkeypatch, CycInt, "__mul__")
+    assert pool_outputs.main(["--workload", "witt_reduce", "--seed", "1"]) == 0
+    statuses = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
+    assert statuses == ["status=0"] * 60
+    assert len(products) == len(sums) == 381
 
 
 CORPUS_2_GROUPS = (
