@@ -2,8 +2,9 @@
 """Certify Frobenius-Perron dimensions for every bundled fusion ring.
 
 For each corpus ring this prints the float Perron estimates next to the
-exact integer certificates (d^2 as a verified root of the characteristic
-polynomial), the exact global dimension when it exists, and the verdict
+exact integer certificates (d^2 = s verified by a Bareiss determinant:
+det(L - t I) = 0 for s = t^2, else det(L^2 - s I) = 0), the exact global
+dimension when it exists, and the verdict
 the dimension criteria assign.  Rings with irrational dimensions, like
 the Fibonacci ring, show up with missing certificates rather than
 near-miss integers.

@@ -4,8 +4,8 @@ dimension-based solvability criteria.
 The three layers:
 
 * ``fusion_ring`` / ``fpdim``: commutative fusion rings with verified
-  axioms, Frobenius-Perron dimensions certified against integer
-  characteristic polynomials, invertibles, universal grading, nilpotency.
+  axioms, Frobenius-Perron dimensions certified by an integer Bareiss
+  determinant per simple, invertibles, universal grading, nilpotency.
 * ``metric_group`` / ``witt``: finite abelian groups with nondegenerate
   quadratic forms, exact cyclotomic Gauss sums, anisotropic reduction,
   pointed Witt classes and the subgroups they generate, words with an

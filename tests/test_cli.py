@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,6 +258,17 @@ def test_forced_analyze_stops_on_a_table_that_is_no_group(tmp_path, fmt):
     assert_reports_forced_violations(run.stdout, fmt, path)
 
 
+def test_forced_analyze_gives_up_on_the_power_iteration_within_a_tenth_of_a_second(tmp_path, capsys):
+    # X1 of the broken z2 ring is nilpotent, so the power iteration never
+    # settles and must give up after its budget of 1500 steps per row
+    path = write(tmp_path, "broken_z2.fr", BROKEN_Z2)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "analyze", "--force", path)
+    seconds = time.perf_counter() - start
+    assert (code, err) == (1, "power iteration did not converge in 3000 steps\n")
+    assert seconds < 0.1
+
+
 def test_analyze_takes_no_element_cap(capsys):
     with pytest.raises(SystemExit) as err:
         main(["analyze", corpus.path("ising.fr"), "--element-cap", "8"])
@@ -267,7 +279,8 @@ def test_analyze_takes_no_element_cap(capsys):
 # exit status, stdout and stderr of analyze on invalid rings, recorded
 # before reports were rebuilt on one record: the broken z2 ring (whose
 # forced analysis fails in the power iteration, re-recorded once its
-# report kept the violations forced past) and Ising with eps x eps
+# report kept the violations forced past and again once the iteration's
+# step budget was scaled to the rank) and Ising with eps x eps
 # containing eps (associativity fails, forced analysis completes)
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 

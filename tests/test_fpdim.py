@@ -1,18 +1,25 @@
+import random
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionwitt.errors import CertificationError
+from fusionwitt import cli, corpus, fpdim
+from fusionwitt.errors import CertificationError, ConvergenceError
 from fusionwitt.fpdim import (
     FPDimData,
+    bareiss_det,
     charpoly,
     fp_dim_data,
     perron_root,
-    poly_eval,
     simple_dims_prime_power,
+    sqrt_is_eigenvalue,
 )
 from fusionwitt.fusion_ring import pointed_ring
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 # ---------------------------------------------------- oracle for charpoly
@@ -90,9 +97,164 @@ def test_charpoly_known_values():
     assert charpoly([[0, 0], [0, 0]]) == [0, 0, 1]
 
 
+def poly_eval(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def shares_sqrt_root(coeffs, s):
+    """Does sqrt(s) solve the polynomial, decided in integer arithmetic?
+
+    Applied to charpoly(M), the oracle for fpdim.sqrt_is_eigenvalue(M, s).
+    Perfect square s: evaluate at isqrt(s).  Otherwise x**2 - s is
+    irreducible, so sqrt(s) is a root iff x**2 - s divides the
+    polynomial; reduce modulo x**2 - s by substituting x**2 -> s.
+    """
+    t = isqrt(s)
+    if t * t == s:
+        return poly_eval(coeffs, t) == 0
+    even = sum(c * s ** (i // 2) for i, c in enumerate(coeffs) if i % 2 == 0)
+    odd = sum(c * s ** (i // 2) for i, c in enumerate(coeffs) if i % 2 == 1)
+    return even == 0 and odd == 0
+
+
 def test_poly_eval():
     assert poly_eval([-1, -1, 1], 2) == 1
     assert poly_eval([0, 0, 1], 5) == 25
+
+
+# ------------------------------------------- Bareiss determinant and roots
+
+
+matrices_to_8 = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_to_8)
+def test_bareiss_det_matches_fraction_elimination(mat):
+    assert bareiss_det(mat) == det_fraction(mat)
+
+
+def test_bareiss_det_known_values():
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1     # needs a row swap
+    assert bareiss_det([[2, 4], [1, 2]]) == 0
+    assert bareiss_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+
+
+def planted(s, rest, coupling, moves):
+    """A matrix with sqrt(s) among its eigenvalues, disguised.
+
+    Block upper triangular: [t] for s = t**2, else the companion matrix
+    of x**2 - s; then the random block rest, the random coupling above
+    it, and a conjugation by elementary integer moves (a, b, c):
+    row b += c row a, then column a -= c column b.
+    """
+    t = isqrt(s)
+    head = [[t]] if t * t == s else [[0, s], [1, 0]]
+    h, n = len(head), len(head) + len(rest)
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < h and j < h:
+                mat[i][j] = head[i][j]
+            elif i < h:
+                mat[i][j] = coupling[i][j - h]
+            elif j >= h:
+                mat[i][j] = rest[i - h][j - h]
+    for a, b, c in moves:
+        a, b = a % n, b % n
+        if a != b:
+            mat[b] = [x + c * y for x, y in zip(mat[b], mat[a])]
+            for row in mat:
+                row[a] -= c * row[b]
+    return mat
+
+
+@st.composite
+def matrix_and_s(draw):
+    """Half the draws plant sqrt(s) as an eigenvalue, half are random;
+    s is a perfect square half the time."""
+    if draw(st.booleans()):
+        s = draw(st.integers(min_value=1, max_value=6)) ** 2
+    else:
+        s = draw(st.integers(min_value=2, max_value=40).filter(lambda v: isqrt(v) ** 2 != v))
+    if not draw(st.booleans()):
+        return draw(matrices_to_8), s
+    small = st.integers(min_value=-3, max_value=3)
+    h = 1 if isqrt(s) ** 2 == s else 2
+    m = draw(st.integers(min_value=0, max_value=8 - h))
+    rest = draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=m, max_size=m))
+    coupling = draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=h, max_size=h))
+    moves = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-2, 2)), max_size=6))
+    return planted(s, rest, coupling, moves), s
+
+
+def test_planted_matrices_have_the_planted_root():
+    rng = random.Random(5)
+    for s in (1, 4, 9, 2, 3, 8):
+        for m in range(4):
+            rest = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+            coupling = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(2)]
+            moves = [(rng.randrange(8), rng.randrange(8), rng.randint(-2, 2)) for _ in range(6)]
+            assert shares_sqrt_root(charpoly(planted(s, rest, coupling, moves)), s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_and_s())
+def test_sqrt_is_eigenvalue_matches_the_charpoly_root_test(case):
+    mat, s = case
+    assert sqrt_is_eigenvalue(mat, s) == shares_sqrt_root(charpoly(mat), s)
+
+
+def ring_left_matrices(monkeypatch):
+    """Every distinct left matrix of the corpus rings and of the rings
+    the benchmark's rings workload realizes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    mats = set()
+    for name in corpus.names(".fr"):
+        ring = cli.parse_ring_file(corpus.path(name))
+        mats.update(tuple(map(tuple, ring.left_matrix(i))) for i in range(ring.rank))
+    for specs in workloads.REALIZATIONS.values():
+        for spec in specs:
+            ring = workloads.build_ring(spec)
+            r = len(ring.labels)
+            mats.update(
+                tuple(tuple(ring.coeff.get((i, j, k), 0) for k in range(r)) for j in range(r)) for i in range(r)
+            )
+    return sorted(mats)
+
+
+def test_sqrt_is_eigenvalue_matches_charpoly_on_every_ring_matrix(monkeypatch):
+    mats = ring_left_matrices(monkeypatch)
+    found = 0
+    for mat in mats:
+        poly = charpoly(mat)
+        for s in range(1, 17):
+            expect = shares_sqrt_root(poly, s)
+            assert sqrt_is_eigenvalue(mat, s) == expect, (mat, s)
+            found += expect
+    # both verdicts occur, at 1, 2, 4, 8 and more
+    assert len(mats) > 100 and 0 < found < 16 * len(mats)
+
+
+def test_analyze_on_the_corpus_computes_no_charpoly(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(fpdim, "charpoly", lambda mat: calls.append(mat))
+    for name in corpus.names(".fr"):
+        assert cli.main(["analyze", "--format", "machine", corpus.path(name)]) == 0
+    assert "exact_square_0=1" in capsys.readouterr().out
+    assert calls == []
 
 
 # ------------------------------------------------------------ perron root
@@ -104,6 +266,15 @@ def test_perron_root_of_known_matrices(ising_ring, fibonacci_ring):
     tau = fibonacci_ring.left_matrix(1)
     golden = (1 + 5**0.5) / 2
     assert abs(perron_root(tau, 1e-12) - golden) < 1e-9
+
+
+def test_perron_root_budget_is_scaled_to_the_rank():
+    # a nilpotent Jordan block: after the shift no eigenvalue dominates,
+    # and the Rayleigh quotients creep toward 1 without settling
+    with pytest.raises(ConvergenceError, match="did not converge in 3000 steps"):
+        perron_root([[0, 1], [0, 0]], 1e-12)
+    with pytest.raises(ConvergenceError, match="did not converge in 6000 steps"):
+        perron_root([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], 1e-12)
 
 
 def test_perron_root_handles_periodic_matrix():

@@ -20,7 +20,7 @@ MUTANTS = 150
 RUN_LIMIT_S = 1.0
 VERBS = {
     ".mg": (["validate"], ["witt-class"], ["witt-order"], ["witt-subgroup"]),
-    ".fr": (["validate"], ["analyze"]),
+    ".fr": (["validate"], ["analyze"], ["analyze", "--force"]),
 }
 # a new token is one of these a third of the time, else a number or
 # fraction that some corpus file holds, which keeps the line's shape
