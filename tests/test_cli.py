@@ -28,6 +28,10 @@ from fusionwitt.cli import (
 
 # z2 group ring with the rigidity line N 1 1 0 removed
 BROKEN_Z2 = "rank 2\nlabels 1 g\ndual 0 1\nN 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\n"
+# the z3 group ring without N 1 2 0: the left matrix of g1 is the
+# nilpotent Jordan block [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+NILPOTENT_Z3 = ("rank 3\nlabels 1 g1 g2\ndual 0 2 1\nN 0 0 0 1\nN 0 1 1 1\nN 0 2 2 1\nN 1 0 1 1\nN 1 1 2 1\n"
+                "N 2 0 2 1\nN 2 1 0 1\nN 2 2 1 1\n")
 
 
 def write(tmp_path, name, text):
@@ -281,13 +285,15 @@ def test_analyze_takes_no_element_cap(capsys):
 # forced analysis fails in the power iteration, re-recorded once its
 # report kept the violations forced past and again once the iteration's
 # step budget was scaled to the rank) and Ising with eps x eps
-# containing eps (associativity fails, forced analysis completes)
+# containing eps (associativity fails, forced analysis completes); and
+# the z3 ring whose g1 has a nilpotent left matrix
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_INVALID))
 def test_analyze_invalid_ring_output_is_pinned(tmp_path, monkeypatch, capsys, case):
     write(tmp_path, "broken_z2.fr", BROKEN_Z2)
+    write(tmp_path, "z3_nilpotent.fr", NILPOTENT_Z3)
     with open(corpus.path("ising.fr"), encoding="utf-8") as fh:
         write(tmp_path, "ising_assoc.fr", fh.read() + "N 1 1 1 1\n")
     monkeypatch.chdir(tmp_path)
