@@ -1,23 +1,53 @@
 """Small exact number-theory helpers shared across the package.
 
 Everything here works with plain Python integers and is deterministic.
-Factorization is plain trial division, which is fine for the intended
-input range (n up to about 10**7).
+Factorization is trial division by the primes up to isqrt(FACTOR_LIMIT),
+taken in blocks: one gcd with a block's product skips every block that
+holds no factor of n.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .errors import ConsistencyError
 
 FACTOR_LIMIT = 10**7
+# primes per block: the 446 primes up to isqrt(FACTOR_LIMIT) make 19 blocks
+PRIME_BLOCK = 24
+
+
+def smallest_factor_sieve(limit: int) -> array:
+    """Array s with s[n] = smallest prime factor of n, for 0 <= n < limit.
+
+    Entries are C ints, 4 bytes each: scans keep limit <= FACTOR_LIMIT,
+    far below 2**31, and array raises OverflowError rather than wrap."""
+    s = array("i", range(limit))
+    for p in range(2, isqrt(limit - 1) + 1):
+        if s[p] == p:
+            for m in range(p * p, limit, p):
+                if s[m] == m:
+                    s[m] = p
+    return s
+
+
+def _prime_blocks(limit: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(square of the first prime, product, primes) per block of
+    PRIME_BLOCK consecutive primes up to isqrt(limit), ascending."""
+    top = isqrt(limit)
+    sieve = smallest_factor_sieve(top + 1)
+    primes = [p for p in range(2, top + 1) if sieve[p] == p]
+    blocks = (tuple(primes[i:i + PRIME_BLOCK]) for i in range(0, len(primes), PRIME_BLOCK))
+    return tuple((block[0] * block[0], prod(block), block) for block in blocks)
+
+
+_BLOCKS = _prime_blocks(FACTOR_LIMIT)
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}.
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
@@ -29,25 +59,23 @@ def factorize(n: int) -> dict[int, int]:
     if n > FACTOR_LIMIT:
         raise ValueError(f"n = {n} exceeds the factorization limit {FACTOR_LIMIT}")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # remaining prime factors are of the form 6k +- 1
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
+    for first_squared, product, block in _BLOCKS:
+        # what is left of n has no prime factor below this block, so it
+        # is 1 or a prime once the block's first prime squared exceeds it
+        if first_squared > n:
+            break
+        if gcd(n, product) > 1:
+            for p in block:
+                if n % p == 0:
+                    n //= p
+                    e = 1
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    out[p] = e
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+        out[n] = 1
+    return out
 
 
 def is_square_free(n: int) -> bool:
@@ -65,20 +93,6 @@ def prime_power_base(n: int) -> int | None:
     if len(f) == 1:
         return next(iter(f))
     return None
-
-
-def smallest_factor_sieve(limit: int) -> array:
-    """Array s with s[n] = smallest prime factor of n, for 0 <= n < limit.
-
-    Entries are C ints, 4 bytes each: scans keep limit <= FACTOR_LIMIT,
-    far below 2**31, and array raises OverflowError rather than wrap."""
-    s = array("i", range(limit))
-    for p in range(2, isqrt(limit - 1) + 1):
-        if s[p] == p:
-            for m in range(p * p, limit, p):
-                if s[m] == m:
-                    s[m] = p
-    return s
 
 
 def factorize_with_sieve(n: int, sieve: array) -> dict[int, int]:

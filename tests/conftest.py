@@ -1,9 +1,9 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from fusionwitt import cli, corpus
-from fusionwitt.arith import factorize
 from fusionwitt.metric_group import metric_group
 from fusionwitt.witt import isotropic_elements, reduce_once
 
@@ -27,6 +27,33 @@ def random_reduction(mg, rng):
         mg = reduce_once(mg, rng.choice(candidates))
 
 
+def factorize_oracle(n: int) -> dict[int, int]:
+    """Prime factorization of 1 <= n by trial division over 2, 3 and the
+    numbers 6k +- 1, primes ascending: the loop arith.factorize used
+    before it divided by precomputed blocks of primes."""
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d = 5
+    while d * d <= n:
+        for p in (d, d + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        d += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division up to isqrt(n), sharing no code with
+    either factorization."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def factorizes_oracle(n: int) -> bool:
     """Independent check that some p^a q^b c factorization of n exists.
 
@@ -34,13 +61,13 @@ def factorizes_oracle(n: int) -> bool:
     most two distinct prime factors.  Shares no code path with the
     witness search of classifier.factor_paqbc.
     """
-    primes = list(factorize(n))
+    primes = list(factorize_oracle(n))
     for mask in range(1 << len(primes)):
         c = 1
         for bit, p in enumerate(primes):
             if mask >> bit & 1:
                 c *= p
-        if len(factorize(n // c)) <= 2:
+        if len(factorize_oracle(n // c)) <= 2:
             return True
     return False
 

@@ -1,6 +1,10 @@
+from math import isqrt
+
 import pytest
+from conftest import factorize_oracle, is_prime
 from hypothesis import given, strategies as st
 
+from fusionwitt import arith
 from fusionwitt.arith import (
     FACTOR_LIMIT,
     cayley_invariants,
@@ -9,7 +13,6 @@ from fusionwitt.arith import (
     factorize_with_sieve,
     group_name,
     invariants_from_element_orders,
-    is_prime,
     is_square_free,
     p_adic_valuation,
     prime_power_base,
@@ -35,10 +38,41 @@ def test_factorize_rejects_bad_input():
 @given(st.integers(min_value=1, max_value=100_000))
 def test_factorize_recomposes(n):
     prod = 1
-    for p, e in factorize(n).items():
+    for p, e in factorize_oracle(n).items():
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+    assert factorize(n) == factorize_oracle(n)
+
+
+def assert_matches_oracle(n):
+    got = factorize(n)
+    assert got == factorize_oracle(n)
+    assert list(got) == sorted(got)
+
+
+@given(st.integers(min_value=1, max_value=FACTOR_LIMIT))
+def test_factorize_matches_the_trial_division_oracle(n):
+    assert_matches_oracle(n)
+
+
+def block_edge_cases():
+    """p^2 and p q for p, q the first and last prime of every block, so
+    each block's gcd test, its divisions and the early stop all run."""
+    edges = sorted({p for _, _, block in arith._BLOCKS for p in (block[0], block[-1])})
+    return sorted({p * q for p in edges for q in edges if p <= q and p * q <= FACTOR_LIMIT})
+
+
+def test_factorize_at_the_block_edges():
+    primes = [p for _, _, block in arith._BLOCKS for p in block]
+    assert primes == [p for p in range(isqrt(FACTOR_LIMIT) + 1) if is_prime(p)]
+    assert len(primes) == 446 and primes[-1] == 3137
+    assert 9840769 == 3137**2 in block_edge_cases()
+    for n in [1, 2, FACTOR_LIMIT, 9999991, 3163 * 3109, 2 * 4999999] + block_edge_cases():
+        assert_matches_oracle(n)
+    # a prime cofactor above isqrt(FACTOR_LIMIT) = 3162
+    assert factorize(2 * 4999999) == {2: 1, 4999999: 1}
+    assert factorize(9999991) == {9999991: 1}
 
 
 def test_is_square_free():
