@@ -8,7 +8,7 @@ Bareiss determinant in exact integer arithmetic per simple, so that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 from operator import mul
 
 from .arith import prime_power_base
@@ -20,6 +20,34 @@ from .fusion_ring import FusionRing
 # at rank 9); 1500 allows 300 times that, yet stops an invalid rank-2
 # ring in a few milliseconds
 STEPS_PER_RANK = 1500
+# widest Collatz-Wielandt bracket, relative to max(1, dim), that
+# perron_root accepts: on every left matrix of the corpus rings, the
+# benchmark's ring realizations and the pointed Z_20, Z_24, Z_30 and
+# Z_2 x Z_3 x Z_5 rings the widest is 1.7e-4 at tolerance 1e-6 and
+# 2.0e-7 at 1e-12, so this has 58 times that margin
+BRACKET_WIDTH = 1e-2
+
+
+def collatz_wielandt(matrix: list[list[int]], v: list[float], width: float) -> tuple[float, float]:
+    """Bounds low <= rho <= high on the spectral radius rho of a
+    nonnegative matrix, from a positive vector v (Collatz-Wielandt).
+
+    high is max_j (M v)_j / v_j.  For any index set S, v restricted to S
+    gives rho >= min over j in S of (M v_S)_j / v_j.  S starts as every
+    index and drops its lowest ratio while high - low exceeds width, so
+    an iterate with a small part on a weaker diagonal block of a
+    reducible matrix still gets a low end near rho.
+    """
+    u = list(v)
+    ratios = {j: sum(map(mul, row, u)) / u[j] for j, row in enumerate(matrix) if u[j]}
+    low = min(ratios.values())
+    # the upper end needs every entry positive, which underflow can break
+    high = max(ratios.values()) if len(ratios) == len(u) else inf
+    while high - low > width and len(ratios) > 1:
+        u[min(ratios, key=ratios.get)] = 0.0
+        ratios = {j: sum(map(mul, matrix[j], u)) / u[j] for j in ratios if u[j]}
+        low = max(low, min(ratios.values()))
+    return low, high
 
 
 def perron_root(matrix: list[list[int]], tolerance: float) -> float:
@@ -30,6 +58,12 @@ def perron_root(matrix: list[list[int]], tolerance: float) -> float:
     and the all-ones start vector overlaps every block.  Stops when two
     successive Rayleigh quotients differ by less than tolerance / 10,
     within STEPS_PER_RANK steps per row.
+
+    The iterate v stays positive under the shift, so it brackets the
+    spectral radius (collatz_wielandt).  A quotient that settled away
+    from the spectral radius, as on a nilpotent Jordan block, leaves
+    that bracket wider than BRACKET_WIDTH relative to max(1, root), and
+    raises.
     """
     r = len(matrix)
     budget = STEPS_PER_RANK * r
@@ -42,7 +76,15 @@ def perron_root(matrix: list[list[int]], tolerance: float) -> float:
         top = max(w)
         v = [wi / top for wi in w]
         if last is not None and abs(rayleigh - last) < tolerance / 10:
-            return rayleigh - 1.0
+            root = rayleigh - 1.0
+            width = BRACKET_WIDTH * max(1.0, root)
+            low, high = collatz_wielandt(shifted, v, width)
+            if high - low > width:
+                raise ConvergenceError(
+                    f"power iteration settled at {root!r}, but the spectral radius is only known"
+                    f" to lie in [{low - 1.0!r}, {high - 1.0!r}]"
+                )
+            return root
         last = rayleigh
     raise ConvergenceError(f"power iteration did not converge in {budget} steps")
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -275,6 +276,41 @@ def test_perron_root_budget_is_scaled_to_the_rank():
         perron_root([[0, 1], [0, 0]], 1e-12)
     with pytest.raises(ConvergenceError, match="did not converge in 6000 steps"):
         perron_root([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], 1e-12)
+
+
+@pytest.mark.parametrize("matrix, bracket", [
+    ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], "[0.0, 0.75]"),
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], "[0.0, 0.33333333333333326]"),
+])
+def test_perron_root_refuses_a_quotient_its_bracket_does_not_pin(matrix, bracket):
+    # the spectral radius is 0, yet two successive Rayleigh quotients of
+    # the shifted block agree (at 2/3 and 1/3); the Collatz-Wielandt
+    # bracket of the iterate shows the value is no eigenvalue estimate
+    with pytest.raises(ConvergenceError, match=re.escape(f"only known to lie in {bracket}")):
+        perron_root(matrix, 1e-12)
+
+
+def test_collatz_wielandt_bounds():
+    # Ising's sigma with the dimension vector: both ends are sqrt(2)
+    low, high = fpdim.collatz_wielandt([[0, 0, 1], [0, 0, 1], [1, 1, 0]], [2**-0.5, 2**-0.5, 1.0], 1e-2)
+    assert abs(low - 2**0.5) < 1e-12 and abs(high - 2**0.5) < 1e-12
+    # block diagonal golden ratio and 1: the small entry on the weaker
+    # block is dropped from the low end, which climbs to the high end
+    phi = (1 + 5**0.5) / 2
+    low, high = fpdim.collatz_wielandt([[0, 1, 0], [1, 1, 0], [0, 0, 1]], [1 / phi, 1.0, 1e-6], 1e-2)
+    assert abs(low - phi) < 1e-12 and abs(high - phi) < 1e-12
+    # an entry lost to underflow leaves no upper end
+    assert fpdim.collatz_wielandt([[2, 0], [0, 1]], [1.0, 0.0], 1e-2) == (2.0, float("inf"))
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
+def test_perron_root_brackets_every_corpus_left_matrix(tolerance):
+    # the accepted bracket width has a wide margin on valid rings, down
+    # to the loosest tolerance fp_dim_data allows
+    for name in corpus.names(".fr"):
+        ring = cli.parse_ring_file(corpus.path(name))
+        for i in range(ring.rank):
+            perron_root(ring.left_matrix(i), tolerance)
 
 
 def test_perron_root_handles_periodic_matrix():
