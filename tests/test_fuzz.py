@@ -5,6 +5,11 @@ three edits: a token replaced, appended or dropped, or a line dropped or
 duplicated.  Every run must end in exit 0, 1 or 2 with no exception
 escaping cli.main; an exit 2, a malformed file, must say so on stderr
 starting with the file's path; and no run may take a second.
+
+Most such ring files stop at the parser, so ring mutants of a second
+kind keep the file's shape: an N multiplicity or a dual entry changed,
+or an N line added with valid indices.  Their forced analysis must end
+in exit 0 or 1.
 """
 
 import contextlib
@@ -12,6 +17,7 @@ import io
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 from fusionwitt import cli, corpus
 
@@ -105,4 +111,51 @@ def test_mutated_corpus_files_fail_cleanly(tmp_path):
                 else:
                     continue
                 problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
+    assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
+
+
+def mutate_ring(lines, rng):
+    """The ring file's lines with one to three edits that keep it parsing."""
+    lines = list(lines)
+    rank = int(lines[0].split()[1])
+    for _ in range(rng.randint(1, 3)):
+        n_lines = [n for n, line in enumerate(lines) if line.startswith("N ")]
+        edit = rng.choice(("multiplicity", "dual", "add"))
+        if edit == "multiplicity" and n_lines:
+            n = rng.choice(n_lines)
+            lines[n] = " ".join(lines[n].split()[:4] + [str(rng.randint(0, 3))])
+        elif edit == "dual":
+            words = lines[2].split()
+            words[1 + rng.randrange(rank)] = str(rng.randrange(rank))
+            lines[2] = " ".join(words)
+        else:
+            taken = {tuple(lines[n].split()[1:4]) for n in n_lines}
+            free = [t for t in product(map(str, range(rank)), repeat=3) if t not in taken]
+            if free:
+                lines.append(" ".join(("N", *rng.choice(free), str(rng.randint(1, 2)))))
+    return "\n".join(lines) + "\n"
+
+
+def test_forced_analysis_of_parsing_ring_mutants_ends_cleanly(tmp_path):
+    files = corpus_lines()
+    rng = random.Random(SEED)
+    names = sorted(n for n in files if n.endswith(".fr"))
+    problems, runs = [], 0
+    for m in range(MUTANTS):
+        name = rng.choice(names)
+        path = tmp_path / f"m{m:03d}_{name}"
+        path.write_text(mutate_ring(files[name], rng), encoding="utf-8")
+        for fmt in ("text", "machine"):
+            argv = ["analyze", "--force", "--format", fmt, str(path)]
+            status, err, seconds, escaped = run(argv)
+            runs += 1
+            if escaped is not None:
+                why = f"raised {type(escaped).__name__}: {escaped}"
+            elif status not in (0, 1):
+                why = f"exit {status!r}: {err!r}"
+            elif seconds > RUN_LIMIT_S:
+                why = f"took {seconds:.2f} s"
+            else:
+                continue
+            problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
     assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
