@@ -376,7 +376,7 @@ def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) ->
                    invertible_count=inv.order, invertible_members=inv.members, invertible_group=group)
     for x in range(ring.rank):
         stab = fusion_ring.stabilizer(ring, x, inv)
-        fusion_ring.tensor_square_check(ring, x)
+        fusion_ring.tensor_square_check(ring, x, inv)
         report.line(f"stabilizer of {ring.labels[x]}: {braced(stab)}", **{f"stabilizer_{x}": stab})
 
     grading = fusion_ring.universal_grading(ring)

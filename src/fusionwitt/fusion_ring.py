@@ -202,14 +202,14 @@ class TensorSquare:
     other_part: tuple[tuple[int, int], ...]
 
 
-def tensor_square_check(ring: FusionRing, x: int) -> TensorSquare:
+def tensor_square_check(ring: FusionRing, x: int, inv: InvertibleGroup | None = None) -> TensorSquare:
     """Decompose X X* and verify each invertible occurs with multiplicity
     exactly 1, and exactly when it stabilizes X.
 
     A failure here means the candidate slipped past validation with an
     impossible multiplicity pattern, so it raises rather than reports.
     """
-    inv = invertibles(ring)
+    inv = inv if inv is not None else invertibles(ring)
     stab = set(stabilizer(ring, x, inv))
     row = ring.coeff[x][ring.dual[x]]
     inv_part, other = [], []

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusionwitt import cli, corpus, fusion_ring
 from fusionwitt.errors import ConsistencyError, ValidationError
 from fusionwitt.fusion_ring import (
     FusionRing,
@@ -158,6 +159,19 @@ def test_tensor_square_of_std(rep_s3_ring):
     ts = tensor_square_check(rep_s3_ring, 2)
     assert ts.invertible_part == ((0, 1), (1, 1))
     assert ts.other_part == ((2, 1),)
+
+
+def test_tensor_square_takes_the_invertible_group(rep_s3_ring):
+    inv = invertibles(rep_s3_ring)
+    for x in range(rep_s3_ring.rank):
+        assert tensor_square_check(rep_s3_ring, x, inv) == tensor_square_check(rep_s3_ring, x)
+
+
+def test_analyze_builds_the_invertible_group_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(fusion_ring, "invertibles", lambda ring: calls.append(ring) or invertibles(ring))
+    assert cli.main(["analyze", corpus.path("rep_s3.fr")]) == 0
+    assert len(calls) == 1
 
 
 def test_tensor_square_flags_impossible_multiplicity(ising_ring):
