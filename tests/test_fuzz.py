@@ -85,6 +85,19 @@ def run(argv):
     return status, err.getvalue(), time.perf_counter() - start, escaped
 
 
+def failure(path, status, err, seconds, escaped, statuses=(0, 1, 2)):
+    """Why one run of a mutant at path breaks the contract, or None."""
+    if escaped is not None:
+        return f"raised {type(escaped).__name__}: {escaped}"
+    if status not in statuses:
+        return f"exit {status!r}: {err!r}"
+    if status == 2 and not err.startswith(str(path)):
+        return f"exit 2 without the path: {err!r}"
+    if seconds > RUN_LIMIT_S:
+        return f"took {seconds:.2f} s"
+    return None
+
+
 def test_mutated_corpus_files_fail_cleanly(tmp_path):
     files = corpus_lines()
     numbers = sorted({w for lines in files.values() for line in lines for w in line.split("#", 1)[0].split() if is_number(w)})
@@ -98,19 +111,10 @@ def test_mutated_corpus_files_fail_cleanly(tmp_path):
         for verb in VERBS[name[-3:]]:
             for fmt in ("text", "machine"):
                 argv = [*verb, "--format", fmt, str(path)]
-                status, err, seconds, escaped = run(argv)
+                why = failure(path, *run(argv))
                 runs += 1
-                if escaped is not None:
-                    why = f"raised {type(escaped).__name__}: {escaped}"
-                elif status not in (0, 1, 2):
-                    why = f"exit {status!r}"
-                elif status == 2 and not err.startswith(str(path)):
-                    why = f"exit 2 without the path: {err!r}"
-                elif seconds > RUN_LIMIT_S:
-                    why = f"took {seconds:.2f} s"
-                else:
-                    continue
-                problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
+                if why is not None:
+                    problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
     assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
 
 
@@ -147,15 +151,8 @@ def test_forced_analysis_of_parsing_ring_mutants_ends_cleanly(tmp_path):
         path.write_text(mutate_ring(files[name], rng), encoding="utf-8")
         for fmt in ("text", "machine"):
             argv = ["analyze", "--force", "--format", fmt, str(path)]
-            status, err, seconds, escaped = run(argv)
+            why = failure(path, *run(argv), statuses=(0, 1))
             runs += 1
-            if escaped is not None:
-                why = f"raised {type(escaped).__name__}: {escaped}"
-            elif status not in (0, 1):
-                why = f"exit {status!r}: {err!r}"
-            elif seconds > RUN_LIMIT_S:
-                why = f"took {seconds:.2f} s"
-            else:
-                continue
-            problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
+            if why is not None:
+                problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
     assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
