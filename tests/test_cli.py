@@ -32,6 +32,10 @@ BROKEN_Z2 = "rank 2\nlabels 1 g\ndual 0 1\nN 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\n"
 # nilpotent Jordan block [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
 NILPOTENT_Z3 = ("rank 3\nlabels 1 g1 g2\ndual 0 2 1\nN 0 0 0 1\nN 0 1 1 1\nN 0 2 2 1\nN 1 0 1 1\nN 1 1 2 1\n"
                 "N 2 0 2 1\nN 2 1 0 1\nN 2 2 1 1\n")
+# a Z2-graded ring whose components {1, g} and {x} have certified
+# dimensions 1 + 1 and 3: g is invertible, x x = 1 + g, and x g = 2 x
+UNEQUAL_GRADING = ("rank 3\nlabels 1 g x\ndual 0 1 2\nN 0 0 0 1\nN 0 1 1 1\nN 0 2 2 1\nN 1 0 1 1\nN 1 1 0 1\n"
+                   "N 1 2 2 1\nN 2 0 2 1\nN 2 1 2 2\nN 2 2 0 1\nN 2 2 1 1\n")
 
 
 def write(tmp_path, name, text):
@@ -285,8 +289,9 @@ def test_analyze_takes_no_element_cap(capsys):
 # forced analysis fails in the power iteration, re-recorded once its
 # report kept the violations forced past and again once the iteration's
 # step budget was scaled to the rank) and Ising with eps x eps
-# containing eps (associativity fails, forced analysis completes); and
-# the z3 ring whose g1 has a nilpotent left matrix
+# containing eps (associativity fails, forced analysis completes); the
+# z3 ring whose g1 has a nilpotent left matrix; and a ring whose grading
+# components have unequal dimensions
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 
 
@@ -294,6 +299,7 @@ GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read
 def test_analyze_invalid_ring_output_is_pinned(tmp_path, monkeypatch, capsys, case):
     write(tmp_path, "broken_z2.fr", BROKEN_Z2)
     write(tmp_path, "z3_nilpotent.fr", NILPOTENT_Z3)
+    write(tmp_path, "unequal_grading.fr", UNEQUAL_GRADING)
     with open(corpus.path("ising.fr"), encoding="utf-8") as fh:
         write(tmp_path, "ising_assoc.fr", fh.read() + "N 1 1 1 1\n")
     monkeypatch.chdir(tmp_path)
