@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import fpdim, fusion_ring
 from .arith import FACTOR_LIMIT, factorize, factorize_with_sieve, is_square_free, smallest_factor_sieve
 from .errors import CertificationError
-from .fpdim import FPDimData, simple_dims_prime_power
-from .fusion_ring import FusionRing
 
 @dataclass(frozen=True)
 class Factorization:
@@ -169,7 +168,7 @@ def verdict_dimension(n: int) -> DimensionVerdict:
     return DimensionVerdict(kind=VerdictKind.UNKNOWN, witness=None, notes=notes)
 
 
-def verdict_ring(ring: FusionRing, data: FPDimData) -> DimensionVerdict:
+def verdict_ring(ring: fusion_ring.FusionRing, data: fpdim.FPDimData) -> DimensionVerdict:
     """Classify a fusion ring, using exact certificates only.
 
     Without weak integrality the criteria do not apply at all.  When
@@ -184,7 +183,7 @@ def verdict_ring(ring: FusionRing, data: FPDimData) -> DimensionVerdict:
             notes="total dimension is not certified integral, the criteria need a weakly integral ring",
         )
     try:
-        pp = simple_dims_prime_power(data)
+        pp = fpdim.simple_dims_prime_power(data)
     except CertificationError:
         pp = None
     if pp is not None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import classifier, fpdim, fusion_ring, metric_group, witt
 from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP, positive_int
-from .errors import CertificationError, FusionWittError, ValidationError
+from .errors import CertificationError, ConsistencyError, FusionWittError, ValidationError
 
 
 class FileFormatError(FusionWittError):
@@ -100,21 +100,6 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
     )
 
 
-def format_ring_file(ring: fusion_ring.FusionRing, comment: str | None = None) -> str:
-    out = []
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
-    out.append(f"rank {ring.rank}")
-    out.append("labels " + " ".join(ring.labels))
-    out.append("dual " + " ".join(str(d) for d in ring.dual))
-    for i in range(ring.rank):
-        for j in range(ring.rank):
-            for k in range(ring.rank):
-                if ring.coeff[i][j][k]:
-                    out.append(f"N {i} {j} {k} {ring.coeff[i][j][k]}")
-    return "\n".join(out) + "\n"
-
-
 def parse_metric_file(path: str) -> tuple[tuple[int, ...], list[Fraction], dict]:
     """Read a metric group file into raw (orders, diag, cross) data.
 
@@ -148,18 +133,6 @@ def parse_metric_file(path: str) -> tuple[tuple[int, ...], list[Fraction], dict]
             raise FileFormatError(f"{path}:{lineno}: duplicate cross term for ({i}, {j})")
         cross[(i - 1, j - 1)] = v
     return orders, diag, cross
-
-
-def format_metric_file(orders, diag, cross=(), comment: str | None = None) -> str:
-    out = []
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
-    out.append("orders " + " ".join(str(d) for d in orders))
-    out.append("q " + " ".join(str(Fraction(v)) for v in diag))
-    for (i, j), v in sorted(dict(cross).items()):
-        if Fraction(v) % 1 != 0:
-            out.append(f"b {i + 1} {j + 1} {Fraction(v)}")
-    return "\n".join(out) + "\n"
 
 
 # ----------------------------------------------------------- report object
@@ -380,6 +353,13 @@ def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) ->
         report.line(f"stabilizer of {ring.labels[x]}: {braced(stab)}", **{f"stabilizer_{x}": stab})
 
     grading = fusion_ring.universal_grading(ring)
+    if data.weakly_integral:
+        # for Y in component h, Y R_g = d_Y R_hg where R_g is the sum of d_X X
+        # over component g; FPdim of both sides makes every component's equal
+        sums = [sum(data.exact_square[x] for x in comp) for comp in grading.components]
+        if len(set(sums)) > 1:
+            raise ConsistencyError(f"grading components have certified dimensions {', '.join(map(str, sums))};"
+                                   " those of a weakly integral ring are equal")
     nil = fusion_ring.nilpotency(ring)
     report.section(
         "grading and nilpotency",

@@ -1,8 +1,11 @@
 """Frobenius-Perron dimensions with exact integrality certificates.
 
 The numeric side is plain power iteration; the certified side is one
-Bareiss determinant in exact integer arithmetic per simple, so that
-"(dim X)**2 is the integer s" is a proof, not a float comparison.
+Bareiss determinant in exact integer arithmetic per simple.  The
+determinant proves exactly that sqrt(s) is an eigenvalue of the simple's
+left multiplication matrix L.  That it is the largest eigenvalue, so
+that (dim X)**2 = s, rests on the float Perron value and its
+Collatz-Wielandt bracket: a float comparison, not yet a proof.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ def charpoly(matrix: list[list[int]]) -> list[int]:
 class FPDimData:
     """Numeric dimensions plus their exact certificates.
 
-    exact_square[i] = s means the certified statement dim(X_i)**2 = s;
+    exact_square[i] = s means sqrt(s) is proved an eigenvalue of the left
+    matrix of X_i, and s is the rounded square of its Perron value dims[i];
     None means no integer certificate exists at this tolerance.  total
     carries float error up to rank * tolerance * (2 max dim + 1).
     """

@@ -16,8 +16,6 @@ from fusionwitt import cli, corpus, fpdim, fusion_ring
 from fusionwitt.cli import (
     FileFormatError,
     fmt_value,
-    format_metric_file,
-    format_ring_file,
     main,
     parse_machine,
     parse_machine_value,
@@ -42,6 +40,36 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def format_ring_file(ring: fusion_ring.FusionRing, comment: str | None = None) -> str:
+    """The ring file text that parse_ring_file reads back as ring."""
+    out = []
+    if comment:
+        out.extend(f"# {line}" for line in comment.splitlines())
+    out.append(f"rank {ring.rank}")
+    out.append("labels " + " ".join(ring.labels))
+    out.append("dual " + " ".join(str(d) for d in ring.dual))
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            for k in range(ring.rank):
+                if ring.coeff[i][j][k]:
+                    out.append(f"N {i} {j} {k} {ring.coeff[i][j][k]}")
+    return "\n".join(out) + "\n"
+
+
+def format_metric_file(orders, diag, cross=(), comment: str | None = None) -> str:
+    """The metric group file text that parse_metric_file reads back as
+    (orders, diag, cross); integer cross terms are left out."""
+    out = []
+    if comment:
+        out.extend(f"# {line}" for line in comment.splitlines())
+    out.append("orders " + " ".join(str(d) for d in orders))
+    out.append("q " + " ".join(str(Fraction(v)) for v in diag))
+    for (i, j), v in sorted(dict(cross).items()):
+        if Fraction(v) % 1 != 0:
+            out.append(f"b {i + 1} {j + 1} {Fraction(v)}")
+    return "\n".join(out) + "\n"
 
 
 # ------------------------------------------------------------ file parsing
@@ -266,6 +294,18 @@ def test_forced_analyze_stops_on_a_table_that_is_no_group(tmp_path, fmt):
     assert_reports_forced_violations(run.stdout, fmt, path)
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_forced_analyze_stops_where_grading_components_differ_in_dimension(tmp_path, capsys, fmt):
+    # every simple is certified, so the ring is weakly integral, yet its
+    # grading components {1, g} and {x} have dimensions 2 and 3
+    path = write(tmp_path, "unequal_grading.fr", UNEQUAL_GRADING)
+    code, out, err = run_cli(capsys, "analyze", "--force", "--format", fmt, path)
+    assert code == 1
+    assert_reports_forced_violations(out, fmt, path)
+    assert err == "grading components have certified dimensions 2, 3; those of a weakly integral ring are equal\n"
+    assert "nilpotent" not in out and "verdict" not in out
+
+
 def test_forced_analyze_gives_up_on_the_power_iteration_within_a_tenth_of_a_second(tmp_path, capsys):
     # X1 of the broken z2 ring is nilpotent, so the power iteration never
     # settles and must give up after its budget of 1500 steps per row
@@ -291,7 +331,8 @@ def test_analyze_takes_no_element_cap(capsys):
 # step budget was scaled to the rank) and Ising with eps x eps
 # containing eps (associativity fails, forced analysis completes); the
 # z3 ring whose g1 has a nilpotent left matrix; and a ring whose grading
-# components have unequal dimensions
+# components have unequal dimensions (re-recorded once analyze checked
+# that they agree: it now stops there)
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 
 
