@@ -354,8 +354,8 @@ def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) ->
 
     grading = fusion_ring.universal_grading(ring)
     if data.weakly_integral:
-        # for Y in component h, Y R_g = d_Y R_hg where R_g is the sum of d_X X
-        # over component g; FPdim of both sides makes every component's equal
+        # Y R_g = d_Y R_hg for Y in component h, where R_g is the sum of d_X X
+        # over component g; applying FPdim shows all components have one dimension
         sums = [sum(data.exact_square[x] for x in comp) for comp in grading.components]
         if len(set(sums)) > 1:
             raise ConsistencyError(f"grading components have certified dimensions {', '.join(map(str, sums))};"
