@@ -348,8 +348,8 @@ def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) ->
     report.section("invertibles and stabilizers", [f"members: {members}", f"group: {group} (order {inv.order})"],
                    invertible_count=inv.order, invertible_members=inv.members, invertible_group=group)
     for x in range(ring.rank):
-        stab = fusion_ring.stabilizer(ring, x, inv)
-        fusion_ring.tensor_square_check(ring, x, inv)
+        # once the check passes, its invertible part is the stabilizer, ascending
+        stab = tuple(g for g, _ in fusion_ring.tensor_square_check(ring, x, inv).invertible_part)
         report.line(f"stabilizer of {ring.labels[x]}: {braced(stab)}", **{f"stabilizer_{x}": stab})
 
     grading = fusion_ring.universal_grading(ring)

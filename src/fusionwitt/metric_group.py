@@ -46,10 +46,6 @@ class FiniteAbelianGroup:
     def size(self) -> int:
         return prod(self.orders)
 
-    @property
-    def exponent(self) -> int:
-        return lcm(*self.orders) if self.orders else 1
-
     def elements(self):
         return product(*(range(d) for d in self.orders))
 

@@ -38,7 +38,10 @@ class SmithForm:
 
 
 def smith_normal_form(mat: list[list[int]]) -> SmithForm:
-    """Exact Smith normal form with both transforms.
+    """Exact Smith normal form with both transforms, by elimination on
+    augmented matrices: a row operation acts on a row of [M | U], a
+    column operation on the columns of [M ; V] and inversely on the rows
+    of V**-1, so U @ mat @ V is the working M throughout.
 
     >>> f = smith_normal_form([[2, 0], [0, 3]])
     >>> f.diagonal
@@ -46,48 +49,22 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     """
     r = len(mat)
     c = len(mat[0]) if r else 0
-    a = [list(row) for row in mat]
-    u = _identity(r)
+    a = [[*row, *e] for row, e in zip(mat, _identity(r))]
     v = _identity(c)
     vinv = _identity(c)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    # the rows of [M ; V]: the same list objects, so rows change in place
+    stacked = a + v
 
     def add_row(i, j, t):
         # row j += t * row i
-        for k in range(c):
-            a[j][k] += t * a[i][k]
-        for k in range(r):
-            u[j][k] += t * u[i][k]
-
-    def neg_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        a[j][:] = [x + t * y for x, y in zip(a[j], a[i])]
 
     def add_col(i, j, t):
         # col j += t * col i; inverse op on vinv rows: row i -= t * row j
-        for row in a:
-            row[j] += t * row[i]
-        for row in v:
+        for row in stacked:
             row[j] += t * row[i]
         for k in range(c):
             vinv[i][k] -= t * vinv[j][k]
-
-    def neg_col(i):
-        for row in a:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        vinv[i] = [-x for x in vinv[i]]
 
     def min_entry(t):
         best = None
@@ -105,9 +82,11 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
         while True:
             i, j = pos
             if i != t:
-                swap_rows(t, i)
+                a[t], a[i] = a[i], a[t]
             if j != t:
-                swap_cols(t, j)
+                for row in stacked:
+                    row[t], row[j] = row[j], row[t]
+                vinv[t], vinv[j] = vinv[j], vinv[t]
             # clear column t below the pivot, then row t to the right;
             # a nonzero remainder becomes the new, strictly smaller pivot
             dirty = False
@@ -125,24 +104,17 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
                 pos = min_entry(t)
                 continue
             if a[t][t] < 0:
-                neg_row(t)
+                a[t][:] = [-x for x in a[t]]
             # enforce divisibility: pivot must divide every later entry
-            fix = next(
-                ((i, j) for i in range(t + 1, r) for j in range(t + 1, c) if a[i][j] % a[t][t] != 0),
-                None,
-            )
+            fix = next(((i, j) for i in range(t + 1, r) for j in range(t + 1, c) if a[i][j] % a[t][t] != 0), None)
             if fix is None:
                 break
             add_row(fix[0], t, 1)
             pos = min_entry(t)
         t += 1
 
-    form = SmithForm(
-        diagonal=tuple(a[i][i] for i in range(min(r, c))),
-        u=tuple(tuple(row) for row in u),
-        v=tuple(tuple(row) for row in v),
-        v_inv=tuple(tuple(row) for row in vinv),
-    )
+    form = SmithForm(diagonal=tuple(a[i][i] for i in range(min(r, c))), u=tuple(tuple(row[c:]) for row in a),
+                     v=tuple(map(tuple, v)), v_inv=tuple(map(tuple, vinv)))
     _verify(mat, form)
     return form
 

@@ -85,6 +85,71 @@ def test_no_nested_function_calls_itself(path):
     assert self_calling_closures(path.read_text(encoding="utf-8")) == []
 
 
+def unused_nested_functions(source: str) -> list[str]:
+    """Functions nested in a function that it never loads by name.
+
+    Such a function is dead code, and the enclosing function still
+    builds it on every call.  A load inside the nested function itself,
+    a recursive call, does not count.
+    """
+    found = []
+
+    def visit(node, path: tuple[str, ...], enclosing) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if enclosing is not None:
+                    own = set(map(id, ast.walk(child)))
+                    loads = {n.id for n in ast.walk(enclosing)
+                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in own}
+                    if child.name not in loads:
+                        found.append(f"line {child.lineno}: {'.'.join((*path, child.name))}")
+                visit(child, (*path, child.name), child)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, (*path, child.name), None)
+            else:
+                visit(child, path, enclosing)
+
+    visit(ast.parse(source), (), None)
+    return found
+
+
+def test_unused_nested_functions_are_found():
+    source = (
+        "def outer(n):\n"
+        "    def called(k):\n"
+        "        return k\n"
+        "    def passed(k):\n"
+        "        return k\n"
+        "    def unused(k):\n"
+        "        def inner():\n"
+        "            return k\n"
+        "        return k\n"
+        "    def recursive(k):\n"
+        "        return recursive(k - 1) if k else 0\n"
+        "    return called(n) + sum(map(passed, [n]))\n"
+    )
+    assert unused_nested_functions(source) == ["line 6: outer.unused", "line 7: outer.unused.inner",
+                                               "line 10: outer.recursive"]
+
+
+def test_module_and_class_level_functions_need_no_caller():
+    source = (
+        "def helper():\n"
+        "    return 1\n"
+        "def outer():\n"
+        "    class Local:\n"
+        "        def method(self):\n"
+        "            return 2\n"
+        "    return Local\n"
+    )
+    assert unused_nested_functions(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_nested_function_is_used(path):
+    assert unused_nested_functions(path.read_text(encoding="utf-8")) == []
+
+
 SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
 
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 from dataclasses import replace
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusionwitt import cli, corpus, snf
 from fusionwitt.snf import SmithForm, _verify, integer_kernel, lattice_index, mat_mul, rebase_presentation, smith_normal_form
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -37,6 +40,156 @@ def test_transforms_and_divisibility(mat):
     assert all(d > 0 for d in nonzero)
     for d0, d1 in zip(nonzero, nonzero[1:]):
         assert d1 % d0 == 0
+
+
+def smith_normal_form_oracle(mat: list[list[int]]) -> SmithForm:
+    """The elimination smith_normal_form ran before it worked on augmented
+    matrices: each operation updates M, U, V and V**-1 in its own loop.
+    Same pivot rule and operation order, so the same four fields."""
+    r = len(mat)
+    c = len(mat[0]) if r else 0
+    a = [list(row) for row in mat]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    vinv = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def add_row(i, j, t):
+        for k in range(c):
+            a[j][k] += t * a[i][k]
+        for k in range(r):
+            u[j][k] += t * u[i][k]
+
+    def neg_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def add_col(i, j, t):
+        for row in a:
+            row[j] += t * row[i]
+        for row in v:
+            row[j] += t * row[i]
+        for k in range(c):
+            vinv[i][k] -= t * vinv[j][k]
+
+    def min_entry(t):
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(r, c):
+        pos = min_entry(t)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            dirty = False
+            for i in range(t + 1, r):
+                if a[i][t] != 0:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, c):
+                if a[t][j] != 0:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        dirty = True
+            if dirty:
+                pos = min_entry(t)
+                continue
+            if a[t][t] < 0:
+                neg_row(t)
+            fix = next(((i, j) for i in range(t + 1, r) for j in range(t + 1, c) if a[i][j] % a[t][t] != 0), None)
+            if fix is None:
+                break
+            add_row(fix[0], t, 1)
+            pos = min_entry(t)
+        t += 1
+    return SmithForm(diagonal=tuple(a[i][i] for i in range(min(r, c))), u=tuple(map(tuple, u)),
+                     v=tuple(map(tuple, v)), v_inv=tuple(map(tuple, vinv)))
+
+
+# half the entries zero, the rest signed prime powers up to 7**3
+PRIME_POWERS = sorted({s * p**k for p in (2, 3, 5, 7) for k in range(4) for s in (1, -1)})
+sparse_matrices = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.one_of(st.just(0), st.sampled_from(PRIME_POWERS)), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=500)
+@given(sparse_matrices)
+def test_transforms_match_the_oracle(mat):
+    assert smith_normal_form(mat) == smith_normal_form_oracle(mat)
+
+
+@pytest.mark.parametrize("mat,expected", [
+    ([], SmithForm((), (), (), ())),
+    ([[]], SmithForm((), ((1,),), (), ())),
+    ([[], []], SmithForm((), ((1, 0), (0, 1)), (), ())),
+    # a remainder left by the clearing (the dirty branch), then the pivot
+    # 2 fails to divide 3 (the divisibility repair), then a negated row
+    ([[2, 0], [0, 3]], SmithForm((1, 6), ((1, 1), (3, 2)), ((-1, 3), (1, -2)), ((2, 3), (1, 1)))),
+    ([[4, 6], [6, 9]], SmithForm((1, 0), ((-1, 1), (3, -2)), ((-1, 3), (1, -2)), ((2, 3), (1, 1)))),
+    ([[6, 4], [4, 6]], SmithForm((2, 10), ((1, 0), (1, 1)), ((1, -2), (-1, 3)), ((3, 2), (1, 1)))),
+    # a column swap to reach the pivot, then a negated row
+    ([[0, -2]], SmithForm((2,), ((-1,),), ((0, 1), (1, 0)), ((0, 1), (1, 0)))),
+], ids=["no_rows", "no_columns", "two_rows_no_columns", "repair", "dirty", "dirty_6_4", "swap_negate"])
+def test_pinned_transforms(mat, expected):
+    assert smith_normal_form_oracle(mat) == expected
+    assert smith_normal_form(mat) == expected
+
+
+def test_witt_verbs_get_the_oracle_transforms_on_every_call(monkeypatch):
+    # the goldens see a changed V or V**-1 only through the printed
+    # representatives of the pinned inputs; this checks every SNF call
+    # made on the corpus, wherever its result goes
+    calls, mismatches = [], []
+    real = snf.smith_normal_form
+
+    def checked(mat):
+        form = real(mat)
+        calls.append(mat)
+        if form != smith_normal_form_oracle(mat):
+            mismatches.append(mat)
+        return form
+
+    monkeypatch.setattr(snf, "smith_normal_form", checked)
+    metrics = [corpus.path(name) for name in corpus.names(".mg")]
+    runs = [["witt-class", path] for path in metrics]
+    runs += [["witt-subgroup", *map(corpus.path, names)] for names in (
+        ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg"),
+        ("z5_fifth.mg", "z5_two_fifths.mg"),
+        ("semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_hyperbolic.mg", "z4_eighth.mg", "z8_sixteenth.mg"),
+    )]
+    statuses = []
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            statuses.append(cli.main([*argv, "--format", "machine"]))
+    assert mismatches == []
+    assert statuses.count(0) == len(runs) - 1  # the degenerate form is refused
+    assert len(calls) > 500  # 603 calls at this writing
 
 
 def corrupt(rows, i, j):
