@@ -13,7 +13,7 @@ and its CLI flag.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator
@@ -39,15 +39,9 @@ class Cap:
     env: str
     flag: str
 
-    @contextmanager
-    def limit(self, value: int | None) -> Iterator[None]:
-        """Check against value inside the block; None keeps the enclosing limit."""
-        scoped = _SCOPED.get()
-        token = _SCOPED.set(scoped if value is None else {**scoped, self.env: value})
-        try:
-            yield
-        finally:
-            _SCOPED.reset(token)
+    def limit(self, value: int | None) -> AbstractContextManager[None]:
+        """Check against value inside the block; None keeps the enclosing limit and sets nothing."""
+        return nullcontext() if value is None else _scope(self.env, value)
 
     def check(self, size: int, subject: str) -> None:
         """Refuse when size is over the resolved limit; subject names what
@@ -63,6 +57,15 @@ class Cap:
             raise CapExceededError(
                 f"{subject} exceeds the {self.name} {limit}; raise it with {self.env} or {self.flag}"
             )
+
+
+@contextmanager
+def _scope(env: str, value: int) -> Iterator[None]:
+    token = _SCOPED.set({**_SCOPED.get(), env: value})
+    try:
+        yield
+    finally:
+        _SCOPED.reset(token)
 
 
 ELEMENT_CAP = Cap("element cap", 2**16, "FUSIONWITT_ELEMENT_CAP", "--element-cap")

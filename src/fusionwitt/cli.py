@@ -7,7 +7,10 @@ that parse back with parse_machine.  Identical inputs and options
 produce byte-identical output.  Exit status: 0 success, 1 validation or
 computation failure, 2 usage errors including malformed input files.
 
-A process builds its argument parser once (build_parser is cached), and
+A process builds its argument parser once (build_parser is cached) and
+parses each call's words once: with the named verb's own parser, whose
+leftover words get the top-level parser's error, or, when the first word
+names no verb (no words, -h, an unknown verb), with the top-level parser.
 main looks each verb's _cmd_ handler up in the module's globals when it
 runs, so a handler rebound after the parser exists is the one called.
 A call leaves no reference cycle behind for the garbage collector.
@@ -143,8 +146,6 @@ def fmt_value(v) -> str:
         return "true" if v else "false"
     if v is None:
         return "none"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (tuple, list)):
@@ -473,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fusionwitt", description="exact fusion ring invariants, Witt classes"
                                      " of metric groups, and dimension classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.verbs = sub.choices  # each verb's own parser, by name
 
     def verb(name, help, *caps):
         p = sub.add_parser(name, help=help)
@@ -503,23 +505,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     # a verb without a cap's flag leaves that cap to its variable and default
     element, order, closure = (getattr(args, dest, None) for dest in ("element_cap", "order_cap", "closure_cap"))
     try:
         with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure):
             report = command(args)
-    except FileFormatError as err:
-        print(str(err), file=sys.stderr)
-        return 2
     except ValidationError as err:
         for v in err.violations:
             print(str(v), file=sys.stderr)
         return 1
     except (FusionWittError, ValueError) as err:
         print(str(err), file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, FileFormatError) else 1
     print(report.render(args.format), end="")
     if report.error:
         print(report.error, file=sys.stderr)

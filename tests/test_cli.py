@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusionwitt import cli, corpus, fpdim, fusion_ring
+from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cli import (
     FileFormatError,
     fmt_value,
@@ -22,6 +24,7 @@ from fusionwitt.cli import (
     parse_metric_file,
     parse_ring_file,
 )
+from fusionwitt.errors import FusionWittError, ValidationError
 
 
 # z2 group ring with the rigidity line N 1 1 0 removed
@@ -550,6 +553,142 @@ def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
     assert err.value.code == 2
     capsys.readouterr()
     assert run_cli(capsys, *argv) == before
+
+
+# ------------------------------------------------------ one parse per call
+
+
+def main_oracle(argv: list[str] | None = None) -> int:
+    """cli.main as it was when every call went through the top-level
+    parser's parse_args, whose subparsers action ran the verb's parser on
+    the words after the verb a second time."""
+    args = cli.build_parser().parse_args(argv)
+    command = getattr(cli, "_cmd_" + args.command.replace("-", "_"))
+    element, order, closure = (getattr(args, dest, None) for dest in ("element_cap", "order_cap", "closure_cap"))
+    try:
+        with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure):
+            report = command(args)
+    except FileFormatError as err:
+        print(str(err), file=sys.stderr)
+        return 2
+    except ValidationError as err:
+        for v in err.violations:
+            print(str(v), file=sys.stderr)
+        return 1
+    except (FusionWittError, ValueError) as err:
+        print(str(err), file=sys.stderr)
+        return 1
+    print(report.render(args.format), end="")
+    if report.error:
+        print(report.error, file=sys.stderr)
+    return report.status
+
+
+def outcome(capsys, run, argv):
+    """Exit status, stdout and stderr of run(argv); a usage error or -h
+    exits through SystemExit."""
+    try:
+        code = run(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def corpus_argv(*words):
+    """words with each corpus file name replaced by its path."""
+    names = set(corpus.names())
+    return [corpus.path(w) if w in names else w for w in words]
+
+
+DISPATCH_CASES = [corpus_argv(*words.split()) for words in (
+    # every verb with each of its flags
+    "validate ising.fr",
+    "validate semion.mg --format machine",
+    "validate z8_sixteenth.mg --element-cap 4",
+    "analyze ising.fr --format machine",
+    "analyze fibonacci.fr --force",
+    "analyze ising.fr --tolerance 1e-9",
+    "witt-class z8_sixteenth.mg --element-cap 8",
+    "witt-class z8_sixteenth.mg --element-cap 7 --format machine",
+    "witt-order semion.mg --order-cap 4",
+    "witt-order semion.mg --element-cap 16 --format machine",
+    "witt-subgroup z3_third.mg z3_two_thirds.mg --closure-cap 3",
+    "witt-subgroup z3_third.mg z5_fifth.mg --element-cap 25 --format machine",
+    "classify 1764",
+    "classify 27225 --format machine",
+    "scan 2000 --odd",
+    "scan 2000 --format machine",
+    # no verb
+    "",
+    "-h",
+    "--help",
+    "bogus",
+    "bogus 5",
+    "--format machine classify 5",
+    "-- classify 5",
+    # -h after a verb
+    "classify -h",
+    "witt-subgroup semion.mg --help",
+    "scan 100 -h --odd",
+    # unknown options, with and without the positional
+    "classify --bogus",
+    "classify 5 --bogus",
+    "classify 5 --bogus 7 --odd",
+    "witt-order --bogus semion.mg",
+    # abbreviated and joined options
+    "witt-order --element 9 semion.mg",
+    "classify 5 --form machine",
+    "classify 5 --format=machine",
+    "scan --od 100",
+    "witt-order --order-cap=4 semion.mg",
+    # bad values
+    "classify -- -5",
+    "classify five",
+    "classify 5 --format json",
+    "analyze ising.fr --tolerance abc",
+    "witt-order semion.mg --order-cap 0",
+    "witt-class semion.mg --element-cap -1",
+    # missing and extra positionals
+    "classify",
+    "witt-subgroup",
+    "witt-class semion.mg extra.mg",
+    "classify 5 6",
+)]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(Path(w).name for w in argv) or "-")
+def test_dispatch_matches_the_top_level_parse(capsys, argv):
+    assert outcome(capsys, main, argv) == outcome(capsys, main_oracle, argv)
+
+
+def test_dispatch_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    for words in (["classify", "1764"], ["classify", "5", "--bogus"], ["bogus"]):
+        monkeypatch.setattr(sys, "argv", ["fusionwitt", *words])
+        assert outcome(capsys, main, None) == outcome(capsys, main_oracle, None)
+
+
+@pytest.mark.parametrize("argv,top_level", [
+    (["classify", "5"], False),
+    (["classify", "5", "--bogus"], False),
+    (["classify", "-h"], False),
+    (["witt-order", "semion.mg", "--order-cap", "0"], False),
+    ([], True),
+    (["-h"], True),
+    (["bogus"], True),
+], ids=lambda case: " ".join(case) if isinstance(case, list) else None)
+def test_only_an_argv_naming_no_verb_reaches_the_top_level_parser(capsys, monkeypatch, argv, top_level):
+    parser, calls = cli.build_parser(), []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        if self is parser:
+            calls.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    outcome(capsys, main, corpus_argv(*argv))
+    assert bool(calls) == top_level
 
 
 def test_calls_leave_no_reference_cycles(tmp_path):

@@ -200,3 +200,34 @@ def test_names_that_only_use_or_mention_an_oracle_are_no_definition():
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(PACKAGE.parent)) for p in SOURCES])
 def test_package_defines_no_oracle(path):
     assert oracle_definitions(path.read_text(encoding="utf-8")) == []
+
+
+ARGPARSE_PRIVATE = {"_subparsers", "_group_actions", "_actions", "_option_string_actions"}
+
+
+def argparse_private_reads(source: str) -> list[str]:
+    """Attributes of argparse's own bookkeeping that source reads.
+
+    They are no part of argparse's interface and may change between
+    Python versions; a subparsers action's choices map is.
+    """
+    reads = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr in ARGPARSE_PRIVATE]
+    return [f"line {node.lineno}: .{node.attr}" for node in sorted(reads, key=lambda n: (n.lineno, n.end_col_offset))]
+
+
+def test_argparse_private_reads_are_found():
+    source = (
+        "action = parser._subparsers._group_actions[0]\n"
+        "flags = {a.dest: a for a in parser._actions}\n"
+        "help = parser._option_string_actions['-h']\n"
+        "verbs = sub.choices\n"
+    )
+    assert argparse_private_reads(source) == [
+        "line 1: ._subparsers", "line 1: ._group_actions", "line 2: ._actions", "line 3: ._option_string_actions",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_no_argparse_private_attribute(path):
+    assert argparse_private_reads(path.read_text(encoding="utf-8")) == []
