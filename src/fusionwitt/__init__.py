@@ -3,9 +3,10 @@ dimension-based solvability criteria.
 
 The three layers:
 
-* ``fusion_ring`` / ``fpdim``: commutative fusion rings with verified
-  axioms, Frobenius-Perron dimensions certified by an integer Bareiss
-  determinant per simple, invertibles, universal grading, nilpotency.
+* ``fusion_ring`` / ``fpdim``: commutative fusion rings checked
+  against the axioms by validate_ring, Frobenius-Perron dimensions
+  certified by an integer Bareiss determinant per simple, invertibles,
+  universal grading, nilpotency.
 * ``metric_group`` / ``witt``: finite abelian groups with nondegenerate
   quadratic forms, exact cyclotomic Gauss sums, anisotropic reduction,
   pointed Witt classes and the subgroups they generate, words with an
@@ -16,6 +17,9 @@ The three layers:
 Everything is exact integer or rational arithmetic except the float
 Perron root estimates, which exist only to locate candidates for the
 exact certificates.
+
+Helpers that only the tests call, such as make_ring and pointed_ring,
+live in tests/conftest.py.
 
 Each layer is loaded on first use.  Importing the package registers
 every layer in ``sys.modules`` through ``importlib.util.LazyLoader``,
@@ -44,14 +48,14 @@ _EXPORTS = {
         ("errors", "CapExceededError CertificationError ConsistencyError ConvergenceError FusionWittError"
                    " ValidationError"),
         ("fpdim", "FPDimData fp_dim_data simple_dims_prime_power"),
-        ("fusion_ring", "FusionRing adjoint_subring invertibles make_ring nilpotency pointed_ring stabilizer"
-                        " subring_generated tensor_square_check universal_grading validate_ring"),
+        ("fusion_ring", "FusionRing adjoint_subring invertibles nilpotency stabilizer subring_generated"
+                        " tensor_square_check universal_grading validate_ring"),
         ("metric_group", "GaussSum MetricGroup direct_sum gauss_sum inverse_form make_metric sylow_decompose"
                          " validate_metric"),
         ("witt", "IDENTITY_CLASS IDENTITY_WORD ISING_GENERATOR_WORD PointedWittClass WittSubgroup WittWord"
                  " anisotropic_reduction class_eq class_inverse class_multiply class_order from_ising_category"
-                 " generated_subgroup metric_iso pointed_witt_class reduce_once word_compose word_eq word_inverse"
-                 " word_is_identity word_order"),
+                 " generated_subgroup metric_iso pointed_witt_class reduce_once reduce_sylow_part word_compose word_eq"
+                 " word_inverse word_is_identity word_order"),
     )
     for name in names.split()
 }

@@ -78,15 +78,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def is_square_free(n: int) -> bool:
-    """True when no prime square divides n.
-
-    >>> [m for m in range(1, 20) if not is_square_free(m)]
-    [4, 8, 9, 12, 16, 18]
-    """
-    return all(e == 1 for e in factorize(n).values())
-
-
 def prime_power_base(n: int) -> int | None:
     """The prime p with n = p**k (k >= 1), or None if n is not a prime power."""
     f = factorize(n)

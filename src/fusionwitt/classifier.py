@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import fpdim, fusion_ring
-from .arith import FACTOR_LIMIT, factorize, factorize_with_sieve, is_square_free, smallest_factor_sieve
+from .arith import FACTOR_LIMIT, factorize, factorize_with_sieve, smallest_factor_sieve
 from .errors import CertificationError
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Factorization:
     """n = p^a * q^b * c with c square-free and coprime to p and q.
 
     p (and q) may be None, with the matching exponent 0; q present
-    implies p < q.  recompose() == n always holds.
+    implies p < q.  p^a q^b c == n always holds.
     """
 
     n: int
@@ -32,25 +32,6 @@ class Factorization:
     q: int | None
     b: int
     c: int
-
-    def recompose(self) -> int:
-        value = self.c
-        if self.p is not None:
-            value *= self.p**self.a
-        if self.q is not None:
-            value *= self.q**self.b
-        return value
-
-    def check(self) -> None:
-        if self.recompose() != self.n:
-            raise AssertionError(f"factorization does not recompose to {self.n}")
-        if not is_square_free(self.c):
-            raise AssertionError(f"cofactor {self.c} is not square-free")
-        for prime in (self.p, self.q):
-            if prime is not None and self.c % prime == 0:
-                raise AssertionError(f"cofactor {self.c} shares the prime {prime}")
-        if self.q is not None and (self.p is None or self.p >= self.q):
-            raise AssertionError("primes out of order")
 
 
 def factor_pac(n: int, factors: dict[int, int] | None = None) -> Factorization | None:

@@ -396,7 +396,7 @@ def _cmd_witt_class(args) -> Report:
                              f"gauss sum: |G|^2 = {gs.magnitude_squared}, argument = {gs.argument} of a turn"])
     final_parts = []
     for p, part in parts:
-        rep, steps = witt.anisotropic_reduction(part)
+        rep, steps = witt.reduce_sylow_part(p, part)
         argument = metric_group.gauss_sum(part).argument
         # each step records the argument of the group it produced, so the last is rep's
         rep_argument = steps[-1].argument if steps else argument

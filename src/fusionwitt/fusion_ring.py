@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arith import cayley_invariants, group_name
-from .errors import ConsistencyError, ValidationError, Violation
+from .errors import ConsistencyError, Violation
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class FusionRing:
     """Structure constants of a based ring with involution.
 
     coeff[i][j][k] = multiplicity of X_k in X_i X_j.  Construction does
-    not validate; call validate_ring, or build through make_ring.
+    not validate; call validate_ring.
     """
 
     labels: tuple[str, ...]
@@ -42,37 +42,6 @@ class FusionRing:
 
     def constituents(self, i: int, j: int) -> tuple[int, ...]:
         return tuple(k for k in range(self.rank) if self.coeff[i][j][k] > 0)
-
-
-def make_ring(labels, dual, coeff) -> FusionRing:
-    """Build and validate; raises ValidationError on any broken axiom."""
-    ring = FusionRing(
-        labels=tuple(labels),
-        dual=tuple(dual),
-        coeff=tuple(tuple(tuple(row) for row in plane) for plane in coeff),
-    )
-    violations = validate_ring(ring)
-    if violations:
-        raise ValidationError(violations)
-    return ring
-
-
-def pointed_ring(orders: tuple[int, ...]) -> FusionRing:
-    """Group ring of the abelian group with the given cyclic orders.
-
-    Basis elements are the group elements, every dimension is 1.
-    """
-    elements = list(product(*(range(d) for d in orders))) or [()]
-    index = {e: i for i, e in enumerate(elements)}
-    rank = len(elements)
-    add = lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, orders))
-    neg = lambda x: tuple((-a) % d for a, d in zip(x, orders))
-    coeff = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for x in elements:
-        for y in elements:
-            coeff[index[x]][index[y]][index[add(x, y)]] = 1
-    labels = ["1" if not any(e) else "g" + "".join(str(a) for a in e) for e in elements]
-    return make_ring(labels, [index[neg(e)] for e in elements], coeff)
 
 
 def validate_ring(ring: FusionRing) -> list[Violation]:
@@ -350,20 +319,21 @@ class NilpotencyData:
     depth: int
 
 
-def nilpotency(ring: FusionRing, max_depth: int = 64) -> NilpotencyData:
+def nilpotency(ring: FusionRing) -> NilpotencyData:
     """Iterate the adjoint construction until it stabilizes.
 
-    The tower strictly decreases until its fixed point, so it stabilizes
-    within rank steps; max_depth is a hard backstop.
+    adjoint_subring grows with its members, so each level lies inside
+    the one before, on any ring: the tower decreases strictly until its
+    fixed point and, holding the unit, stabilizes within rank steps.
     """
     tower = [tuple(range(ring.rank))]
-    for _ in range(max_depth):
+    for _ in range(ring.rank):
         nxt = adjoint_subring(ring, tower[-1])
         if nxt == tower[-1]:
             break
         tower.append(nxt)
     else:
-        raise ConsistencyError(f"adjoint tower did not stabilize within {max_depth} steps")
+        raise ConsistencyError(f"adjoint tower did not stabilize within {ring.rank} steps")
     return NilpotencyData(
         tower=tuple(tower),
         nilpotent=tower[-1] == (0,),

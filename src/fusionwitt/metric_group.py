@@ -8,7 +8,7 @@ integer constructor, which checks the chain and the congruences as
 integer congruences mod L and decides nondegeneracy from the Gram
 matrix, without enumerating the group.  Fractions appear only at the
 edges: metric_group() and validate_metric() read Fraction input, and
-q, b and the derived form hand values back out.  The Gauss sum is
+q and the derived form hand values back out.  The Gauss sum is
 computed once per (immutable) object.  Degenerate forms are
 representable (the radical can be nontrivial) and nondegeneracy is
 recorded on the object, but only a nondegenerate form has a Gauss sum.
@@ -156,12 +156,6 @@ class MetricGroup:
         """q(x) = sum x_i^2 q(e_i) + sum_{i<j} x_i x_j b(e_i, e_j) mod 1."""
         self._require_element(x)
         return Fraction(self.value(x), self.level)
-
-    def b(self, x, y) -> Fraction:
-        """b(x, y) = q(x + y) - q(x) - q(y) mod 1, by bilinearity: sum y_j b(x, e_j)."""
-        self._require_element(x)
-        self._require_element(y)
-        return Fraction(sum(map(mul, self.pairing_row(x), y)) % self.level, self.level)
 
 
 def _integer_data(orders, diag, cross):

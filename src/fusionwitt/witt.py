@@ -144,26 +144,32 @@ class PointedWittClass:
 IDENTITY_CLASS = PointedWittClass(parts=())
 
 
+def reduce_sylow_part(p: int, part: MetricGroup) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:
+    """anisotropic_reduction of the Sylow p-part, with its check: for odd
+    p the representative must have order 1, p, or p**2; anything else is
+    reported as an inconsistency."""
+    rep, steps = anisotropic_reduction(part)
+    if p != 2 and rep.size not in (1, p, p * p):
+        raise ConsistencyError(
+            f"anisotropic {p}-part has order {rep.size}, outside the expected {{1, {p}, {p*p}}}"
+        )
+    return rep, steps
+
+
 def pointed_witt_class(mg: MetricGroup) -> PointedWittClass:
     """Witt class of a nondegenerate metric group.
 
     Sylow-decomposes, reduces every part to its anisotropic kernel by
-    anisotropic_reduction, so the representatives are deterministic, and
-    drops trivial parts.  For odd p the representative must have order
-    1, p, or p**2; anything else is reported as an inconsistency.
+    reduce_sylow_part, so the representatives are deterministic, and
+    drops trivial parts.
     """
     if not mg.nondegenerate:
         raise ValueError("Witt class needs a nondegenerate metric group")
     parts = []
     for p, part in sorted(sylow_decompose(mg).items()):
-        rep, _ = anisotropic_reduction(part)
-        if rep.size == 1:
-            continue
-        if p != 2 and rep.size not in (p, p * p):
-            raise ConsistencyError(
-                f"anisotropic {p}-part has order {rep.size}, outside the expected {{1, {p}, {p*p}}}"
-            )
-        parts.append((p, rep))
+        rep, _ = reduce_sylow_part(p, part)
+        if rep.size > 1:
+            parts.append((p, rep))
     return PointedWittClass(parts=tuple(parts))
 
 

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from itertools import product
 from math import isqrt
+from operator import mul
 
 import pytest
 
 from fusionwitt import cli, corpus
+from fusionwitt.arith import factorize
+from fusionwitt.errors import ValidationError
+from fusionwitt.fusion_ring import FusionRing, validate_ring
 from fusionwitt.metric_group import metric_group
 from fusionwitt.witt import isotropic_elements, reduce_once
 
@@ -15,6 +20,74 @@ def load_ring(name):
 def load_metric(name):
     orders, diag, cross = cli.parse_metric_file(corpus.path(name))
     return metric_group(orders, diag, cross)
+
+
+def make_ring(labels, dual, coeff) -> FusionRing:
+    """Build and validate; raises ValidationError on any broken axiom."""
+    ring = FusionRing(
+        labels=tuple(labels),
+        dual=tuple(dual),
+        coeff=tuple(tuple(tuple(row) for row in plane) for plane in coeff),
+    )
+    violations = validate_ring(ring)
+    if violations:
+        raise ValidationError(violations)
+    return ring
+
+
+def pointed_ring(orders: tuple[int, ...]) -> FusionRing:
+    """Group ring of the abelian group with the given cyclic orders.
+
+    Basis elements are the group elements, every dimension is 1.
+    """
+    elements = list(product(*(range(d) for d in orders))) or [()]
+    index = {e: i for i, e in enumerate(elements)}
+    rank = len(elements)
+    add = lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, orders))
+    neg = lambda x: tuple((-a) % d for a, d in zip(x, orders))
+    coeff = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    for x in elements:
+        for y in elements:
+            coeff[index[x]][index[y]][index[add(x, y)]] = 1
+    labels = ["1" if not any(e) else "g" + "".join(str(a) for a in e) for e in elements]
+    return make_ring(labels, [index[neg(e)] for e in elements], coeff)
+
+
+def bilinear(mg, x, y) -> Fraction:
+    """b(x, y) = q(x + y) - q(x) - q(y) mod 1, by bilinearity: sum y_j b(x, e_j)."""
+    mg._require_element(x)
+    mg._require_element(y)
+    return Fraction(sum(map(mul, mg.pairing_row(x), y)) % mg.level, mg.level)
+
+
+def is_square_free(n: int) -> bool:
+    """True when no prime square divides n."""
+    return all(e == 1 for e in factorize(n).values())
+
+
+def recompose(f) -> int:
+    """p^a q^b c of a classifier.Factorization, absent primes left out."""
+    value = f.c
+    if f.p is not None:
+        value *= f.p**f.a
+    if f.q is not None:
+        value *= f.q**f.b
+    return value
+
+
+def check_factorization(f) -> None:
+    """Raise AssertionError unless f is a valid witness for f.n: it
+    recomposes to n, its cofactor is square-free and coprime to its
+    primes, and the primes ascend."""
+    if recompose(f) != f.n:
+        raise AssertionError(f"factorization does not recompose to {f.n}")
+    if not is_square_free(f.c):
+        raise AssertionError(f"cofactor {f.c} is not square-free")
+    for prime in (f.p, f.q):
+        if prime is not None and f.c % prime == 0:
+            raise AssertionError(f"cofactor {f.c} shares the prime {prime}")
+    if f.q is not None and (f.p is None or f.p >= f.q):
+        raise AssertionError("primes out of order")
 
 
 def random_reduction(mg, rng):

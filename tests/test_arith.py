@@ -1,7 +1,7 @@
 from math import isqrt
 
 import pytest
-from conftest import factorize_oracle, is_prime
+from conftest import factorize_oracle, is_prime, is_square_free
 from hypothesis import given, strategies as st
 
 from fusionwitt import arith
@@ -13,7 +13,6 @@ from fusionwitt.arith import (
     factorize_with_sieve,
     group_name,
     invariants_from_element_orders,
-    is_square_free,
     p_adic_valuation,
     prime_power_base,
     smallest_factor_sieve,

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import factorizes_oracle
-from fusionwitt.arith import factorize_with_sieve, is_square_free, smallest_factor_sieve
+from conftest import check_factorization, factorizes_oracle, is_square_free, pointed_ring, recompose
+from fusionwitt.arith import factorize_with_sieve, smallest_factor_sieve
 from fusionwitt.classifier import (
     Factorization,
     VerdictKind,
@@ -13,7 +13,6 @@ from fusionwitt.classifier import (
     verdict_ring,
 )
 from fusionwitt.fpdim import fp_dim_data
-from fusionwitt.fusion_ring import pointed_ring
 
 
 def as_tuple(f):
@@ -77,14 +76,14 @@ def test_rejects_nonpositive():
 
 
 def test_check_validates_witnesses():
-    factor_paqbc(360).check()
-    factor_pac(7).check()
+    check_factorization(factor_paqbc(360))
+    check_factorization(factor_pac(7))
     with pytest.raises(AssertionError):
-        Factorization(n=12, p=2, a=1, q=None, b=0, c=3).check()   # recomposes to 6
+        check_factorization(Factorization(n=12, p=2, a=1, q=None, b=0, c=3))   # recomposes to 6
     with pytest.raises(AssertionError):
-        Factorization(n=24, p=2, a=1, q=None, b=0, c=12).check()  # cofactor not square-free
+        check_factorization(Factorization(n=24, p=2, a=1, q=None, b=0, c=12))  # cofactor not square-free
     with pytest.raises(AssertionError):
-        Factorization(n=36, p=3, a=2, q=2, b=2, c=1).check()      # primes out of order
+        check_factorization(Factorization(n=36, p=3, a=2, q=2, b=2, c=1))      # primes out of order
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,8 +92,8 @@ def test_witness_search_matches_oracle(n):
     witness = factor_paqbc(n)
     assert (witness is not None) == factorizes_oracle(n)
     if witness is not None:
-        witness.check()
-        assert witness.recompose() == n
+        check_factorization(witness)
+        assert recompose(witness) == n
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,9 +101,9 @@ def test_witness_search_matches_oracle(n):
 def test_single_prime_witness_is_consistent(n):
     witness = factor_pac(n)
     if witness is not None:
-        witness.check()
+        check_factorization(witness)
         assert witness.q is None and witness.b == 0
-        assert witness.recompose() == n
+        assert recompose(witness) == n
 
 
 # --------------------------------------------------------------- verdicts

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fusionwitt import cli, corpus, fpdim, fusion_ring
+from fusionwitt import cli, corpus, fpdim, fusion_ring, metric_group, witt
 from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cli import (
     FileFormatError,
@@ -388,6 +388,17 @@ def test_witt_verbs_refuse_degenerate_forms_naming_the_file(capsys, verb):
     assert code == 1
     assert out == ""
     assert err == f"{path}: degenerate form; Witt classes need nondegenerate forms\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_witt_verbs_refuse_the_same_oversized_odd_part(capsys, monkeypatch, fmt):
+    # a reduction that stops at an anisotropic 3-part of order 27, which
+    # no anisotropic form at p = 3 has
+    z27 = metric_group.metric_group((27,), [Fraction(1, 27)])
+    monkeypatch.setattr(witt, "anisotropic_reduction", lambda part: (z27, ()))
+    message = "anisotropic 3-part has order 27, outside the expected {1, 3, 9}\n"
+    for verb in ("witt-class", "witt-order"):
+        assert run_cli(capsys, verb, corpus.path("z3_third.mg"), "--format", fmt) == (1, "", message)
 
 
 CAP_CASES = [

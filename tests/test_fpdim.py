@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pointed_ring
 from fusionwitt import cli, corpus, fpdim
 from fusionwitt.errors import CertificationError, ConvergenceError
 from fusionwitt.fpdim import (
@@ -18,7 +19,6 @@ from fusionwitt.fpdim import (
     simple_dims_prime_power,
     sqrt_is_eigenvalue,
 )
-from fusionwitt.fusion_ring import pointed_ring
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_ring, pointed_ring
 from fusionwitt import cli, corpus, fusion_ring
 from fusionwitt.errors import ConsistencyError, ValidationError
 from fusionwitt.fusion_ring import (
     FusionRing,
     adjoint_subring,
     invertibles,
-    make_ring,
     nilpotency,
-    pointed_ring,
     stabilizer,
     subring_generated,
     tensor_square_check,
@@ -246,6 +245,21 @@ def test_pointed_ring_nilpotency():
     data = nilpotency(pointed_ring((6,)))
     assert data.nilpotent
     assert data.depth == 1
+
+
+def test_tower_that_does_not_settle_stops_after_rank_steps(monkeypatch, ising_ring):
+    # adjoint_subring only shrinks a tower, even on a ring forced past its
+    # violations; one that keeps changing is refused after rank steps
+    calls = []
+
+    def unsettled(ring, members):
+        calls.append(members)
+        return members[:-1] or tuple(range(ring.rank))
+
+    monkeypatch.setattr(fusion_ring, "adjoint_subring", unsettled)
+    with pytest.raises(ConsistencyError, match="did not stabilize within 3 steps"):
+        nilpotency(ising_ring)
+    assert len(calls) == ising_ring.rank
 
 
 def test_rep_s3_not_nilpotent(rep_s3_ring):

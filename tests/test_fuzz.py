@@ -6,10 +6,15 @@ duplicated.  Every run must end in exit 0, 1 or 2 with no exception
 escaping cli.main; an exit 2, a malformed file, must say so on stderr
 starting with the file's path; and no run may take a second.
 
-Most such ring files stop at the parser, so ring mutants of a second
-kind keep the file's shape: an N multiplicity or a dual entry changed,
-or an N line added with valid indices.  Their forced analysis must end
-in exit 0 or 1.
+Most such files stop at the parser, so mutants of a second kind keep
+the file's shape.  A ring mutant has an N multiplicity or a dual entry
+changed, or an N line added with valid indices; its forced analysis
+must end in exit 0 or 1.  A metric mutant has one q value changed to
+one that a corpus file holds, one order changed to another power of its
+prime, or one cross term added that meets its congruence.  Every verb
+that reads it must end in exit 0 or 1, and the verbs must agree:
+validate calls the form nondegenerate exactly when witt-class succeeds,
+and witt-subgroup of the one form has the order witt-order prints.
 """
 
 import contextlib
@@ -18,8 +23,10 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from fusionwitt import cli, corpus
+from fusionwitt.arith import prime_power_base
 
 SEED = 20130
 MUTANTS = 150
@@ -74,7 +81,7 @@ def mutate(lines, numbers, rng):
 
 
 def run(argv):
-    """(status, stderr, seconds, escaped exception) of one in-process CLI call."""
+    """(status, stderr, seconds, escaped exception, stdout) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -82,11 +89,12 @@ def run(argv):
             status, escaped = cli.main(argv), None
         except (Exception, SystemExit) as exc:
             status, escaped = None, exc
-    return status, err.getvalue(), time.perf_counter() - start, escaped
+    return status, err.getvalue(), time.perf_counter() - start, escaped, out.getvalue()
 
 
-def failure(path, status, err, seconds, escaped, statuses=(0, 1, 2)):
-    """Why one run of a mutant at path breaks the contract, or None."""
+def failure(path, result, statuses=(0, 1, 2)):
+    """Why one run of a mutant at path, with run's result, breaks the contract, or None."""
+    status, err, seconds, escaped, _ = result
     if escaped is not None:
         return f"raised {type(escaped).__name__}: {escaped}"
     if status not in statuses:
@@ -111,7 +119,7 @@ def test_mutated_corpus_files_fail_cleanly(tmp_path):
         for verb in VERBS[name[-3:]]:
             for fmt in ("text", "machine"):
                 argv = [*verb, "--format", fmt, str(path)]
-                why = failure(path, *run(argv))
+                why = failure(path, run(argv))
                 runs += 1
                 if why is not None:
                     problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
@@ -151,8 +159,71 @@ def test_forced_analysis_of_parsing_ring_mutants_ends_cleanly(tmp_path):
         path.write_text(mutate_ring(files[name], rng), encoding="utf-8")
         for fmt in ("text", "machine"):
             argv = ["analyze", "--force", "--format", fmt, str(path)]
-            why = failure(path, *run(argv), statuses=(0, 1))
+            why = failure(path, run(argv), statuses=(0, 1))
             runs += 1
             if why is not None:
                 problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
     assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
+
+
+def mutate_metric(lines, q_values, rng):
+    """The metric file's lines with one edit that keeps it parsing."""
+    words = [line.split("#", 1)[0].split() for line in lines]
+    orders = [int(d) for d in words[0][1:]]
+    taken = {tuple(w[1:3]) for w in words[2:]}
+    free = [(i, j) for j in range(1, len(orders) + 1) for i in range(1, j) if (str(i), str(j)) not in taken]
+    edit = rng.choice(("q", "order", "cross") if free else ("q", "order"))
+    if edit == "q":
+        words[1][1 + rng.randrange(len(orders))] = rng.choice(q_values)
+    elif edit == "order":
+        n = rng.randrange(len(orders))
+        p = prime_power_base(orders[n])
+        words[0][1 + n] = str(rng.choice([p**e for e in range(1, 5) if p**e != orders[n]]))
+    else:
+        i, j = rng.choice(free)
+        g = gcd(orders[i - 1], orders[j - 1])
+        words.append(["b", str(i), str(j), str(Fraction(rng.randrange(1, g), g))])
+    return "".join(" ".join(w) + "\n" for w in words)
+
+
+def disagreements(path, outcome):
+    """How the machine reports of one mutant's verbs contradict each other."""
+    report = {verb: cli.parse_machine(result[4]) for verb, result in outcome.items()}
+    out = []
+    if report["validate"].get("nondegenerate", False) != (outcome["witt-class"][0] == 0):
+        out.append(f"{path}: validate says {report['validate']}, witt-class exits {outcome['witt-class'][0]}")
+    if outcome["witt-order"][0] == 0 or outcome["witt-subgroup"][0] == 0:
+        orders = report["witt-order"].get("witt_order"), report["witt-subgroup"].get("subgroup_order")
+        if orders[0] != orders[1]:
+            out.append(f"{path}: witt-order prints {orders[0]}, witt-subgroup {orders[1]}")
+    return out
+
+
+def test_verbs_agree_on_parsing_metric_mutants(tmp_path):
+    files = corpus_lines()
+    q_values = sorted({w for lines in files.values() for line in lines if line.startswith("q ") for w in line.split()[1:]})
+    rng = random.Random(SEED)
+    names = sorted(n for n in files if n.endswith(".mg"))
+    problems, runs, witt_successes = [], 0, 0
+    start = time.perf_counter()
+    for m in range(MUTANTS):
+        name = rng.choice(names)
+        path = tmp_path / f"m{m:03d}_{name}"
+        path.write_text(mutate_metric(files[name], q_values, rng), encoding="utf-8")
+        for fmt in ("text", "machine"):
+            outcome = {}
+            for verb in VERBS[".mg"]:
+                argv = [*verb, "--format", fmt, str(path)]
+                outcome[verb[0]] = result = run(argv)
+                why = failure(path, result, statuses=(0, 1))
+                runs += 1
+                witt_successes += verb[0] != "validate" and result[0] == 0
+                if why is not None:
+                    problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
+            if fmt == "machine":
+                problems += disagreements(path, outcome)
+    seconds = time.perf_counter() - start
+    assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
+    assert witt_successes >= 100
+    assert seconds < 5.0
+

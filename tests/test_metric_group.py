@@ -8,7 +8,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_metric
+from conftest import bilinear, load_metric
 from fusionwitt import cli, corpus, metric_group as metric_group_module, witt
 from fusionwitt.arith import factorize
 from fusionwitt.caps import ELEMENT_CAP
@@ -106,8 +106,8 @@ def test_polarization_identity(hyperbolic3):
     for x in g.elements():
         for y in g.elements():
             expected = (hyperbolic3.q(g.add(x, y)) - hyperbolic3.q(x) - hyperbolic3.q(y)) % 1
-            assert hyperbolic3.b(x, y) == expected
-    assert hyperbolic3.b((1, 0), (0, 1)) == F(1, 3)
+            assert bilinear(hyperbolic3, x, y) == expected
+    assert bilinear(hyperbolic3, (1, 0), (0, 1)) == F(1, 3)
 
 
 def radical_oracle(mg):
@@ -334,7 +334,7 @@ def test_integer_evaluator_matches_fraction_oracle(form):
     q = {x: oracle_q(drawn.form, x) for x in elements}
     assert all(mg.q(x) == q[x] for x in elements)
     pairing = {(x, y): (q[g.add(x, y)] - q[x] - q[y]) % 1 for x in elements for y in elements}
-    assert all(mg.b(x, y) == pairing[x, y] for x in elements for y in elements)
+    assert all(bilinear(mg, x, y) == pairing[x, y] for x in elements for y in elements)
     rad = [x for x in elements if all(pairing[x, y] == 0 for y in elements)]
     assert radical_oracle(mg) == rad
     assert mg.nondegenerate == (rad == [g.zero()])
