@@ -16,7 +16,6 @@ from enum import Enum
 
 from . import fpdim, fusion_ring
 from .arith import FACTOR_LIMIT, factorize, factorize_with_sieve, smallest_factor_sieve
-from .errors import CertificationError
 
 @dataclass(frozen=True)
 class Factorization:
@@ -163,10 +162,7 @@ def verdict_ring(ring: fusion_ring.FusionRing, data: fpdim.FPDimData) -> Dimensi
             witness=None,
             notes="total dimension is not certified integral, the criteria need a weakly integral ring",
         )
-    try:
-        pp = fpdim.simple_dims_prime_power(data)
-    except CertificationError:
-        pp = None
+    pp = fpdim.simple_dims_prime_power(data)
     if pp is not None:
         total = data.total_exact
         witness = factor_pac(total) if total is not None and total <= FACTOR_LIMIT else None

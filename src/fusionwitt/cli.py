@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import classifier, fpdim, fusion_ring, metric_group, witt
 from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP, positive_int
-from .errors import CertificationError, ConsistencyError, FusionWittError, ValidationError
+from .errors import ConsistencyError, FusionWittError, ValidationError
 
 
 class FileFormatError(FusionWittError):
@@ -246,7 +246,7 @@ def _form_text(mg: metric_group.MetricGroup) -> str:
     return f"orders ({fmt_value(mg.orders)}) q ({' '.join(str(v) for v in mg.form.diag)})"
 
 
-def describe_class(c: witt.PointedWittClass) -> str:
+def _describe_class(c: witt.PointedWittClass) -> str:
     if c.is_identity():
         return "identity"
     return "; ".join(f"p={p} {_form_text(rep)}" for p, rep in c.parts)
@@ -280,7 +280,7 @@ def _verdict(report: Report, verdict: classifier.DimensionVerdict, head=(), witn
 
 
 def _class_section(report: Report, cls: witt.PointedWittClass) -> None:
-    report.section("class", [describe_class(cls)], class_identity=cls.is_identity())
+    report.section("class", [_describe_class(cls)], class_identity=cls.is_identity())
 
 
 # ------------------------------------------------------------------ verbs
@@ -377,10 +377,7 @@ def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) ->
         **{f"tower_{i}": level for i, level in enumerate(nil.tower)},
     )
 
-    try:
-        pp = fpdim.simple_dims_prime_power(data) if data.weakly_integral else None
-    except (CertificationError, ValueError):  # ValueError: a square above arith.FACTOR_LIMIT
-        pp = None
+    pp = fpdim.simple_dims_prime_power(data) if data.weakly_integral else None
     prime_desc = "none" if pp is None else "pointed" if pp.pointed else str(pp.prime)
     verdict = classifier.verdict_ring(ring, data)
     _verdict(report, verdict, [f"simple dims prime power: {prime_desc}"], witness_last=True, prime_power=prime_desc)
@@ -431,7 +428,7 @@ def _cmd_witt_subgroup(args) -> Report:
     summary = f"order {sub.order}, invariant factors ({fmt_value(sub.invariant_factors)}), group {sub.name()}"
     report.section("subgroup", [summary], subgroup_order=sub.order, invariant_factors=sub.invariant_factors,
                    group=sub.name())
-    for i, desc in enumerate(map(describe_class, sub.elements)):
+    for i, desc in enumerate(map(_describe_class, sub.elements)):
         report.line(f"[{i}] {desc}", **{f"element_{i}": desc})
     report.section("table")
     for i, row in enumerate(sub.table):

@@ -231,3 +231,45 @@ def test_argparse_private_reads_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_no_argparse_private_attribute(path):
     assert argparse_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+STREAMS = {"stdout", "stderr"}
+
+
+def output_writes(source: str) -> list[str]:
+    """The print calls in source, and its names of sys.stdout and sys.stderr.
+
+    Only cli.py renders a report and writes it out: every other module
+    returns values or raises, so a report is rendered in one place.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append((node.lineno, node.col_offset, "print"))
+        elif (isinstance(node, ast.Attribute) and node.attr in STREAMS
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append((node.lineno, node.col_offset, f"sys.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, node.col_offset, f"sys.{a.name}") for a in node.names if a.name in STREAMS]
+    return [f"line {line}: {name}" for line, _, name in sorted(found)]
+
+
+def test_output_writes_are_found():
+    source = (
+        "import sys\n"
+        "from sys import stderr, argv\n"
+        "def report(x):\n"
+        "    print(x, file=sys.stderr)\n"
+        "    sys.stdout.write(str(x))\n"
+        "    return argv, sys.exit, self.print, 'print'\n"
+    )
+    assert output_writes(source) == ["line 2: sys.stderr", "line 4: print", "line 4: sys.stderr",
+                                     "line 5: sys.stdout"]
+
+
+NON_CLI = [path for path in SOURCES if path.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", NON_CLI, ids=[str(p.relative_to(PACKAGE.parent)) for p in NON_CLI])
+def test_only_cli_writes_output(path):
+    assert output_writes(path.read_text(encoding="utf-8")) == []
