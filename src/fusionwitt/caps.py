@@ -15,8 +15,7 @@ from __future__ import annotations
 import os
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, FusionWittError
 
@@ -32,8 +31,7 @@ def positive_int(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Cap:
+class Cap(NamedTuple):
     name: str
     default: int
     env: str

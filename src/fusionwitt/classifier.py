@@ -11,14 +11,14 @@ instead of quietly extending the case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from . import fpdim, fusion_ring
+from . import fpdim
 from .arith import FACTOR_LIMIT, factorize, factorize_with_sieve, smallest_factor_sieve
 
-@dataclass(frozen=True)
-class Factorization:
+
+class Factorization(NamedTuple):
     """n = p^a * q^b * c with c square-free and coprime to p and q.
 
     p (and q) may be None, with the matching exponent 0; q present
@@ -32,26 +32,43 @@ class Factorization:
     b: int
     c: int
 
+    def __str__(self) -> str:
+        """'n = p^a * q^b * c', leaving out the absent primes."""
+        n, p, a, q, b, c = self
+        if p is None:
+            return f"{n} = {c}"
+        return f"{n} = {p}^{a} * {c}" if q is None else f"{n} = {p}^{a} * {q}^{b} * {c}"
+
+
+def _witness(n: int, factors: dict[int, int] | None, most: int) -> Factorization | None:
+    """The witness read off the primes whose square divides n, or None
+    when more than most of them do: with none, p is absent and c = n;
+    with one, it is p; with two, they are p < q."""
+    if n < 1:
+        raise ValueError(f"expected a positive dimension, got {n}")
+    if factors is None:
+        factors = factorize(n)
+    squared = [p for p, e in factors.items() if e >= 2]
+    if len(squared) > most:
+        return None
+    if not squared:
+        return Factorization(n, None, 0, None, 0, n)
+    squared.sort()
+    p, a = squared[0], factors[squared[0]]
+    if len(squared) == 1:
+        return Factorization(n, p, a, None, 0, n // p**a)
+    q, b = squared[1], factors[squared[1]]
+    return Factorization(n, p, a, q, b, n // (p**a * q**b))
+
 
 def factor_pac(n: int, factors: dict[int, int] | None = None) -> Factorization | None:
     """n = p^a c with c square-free, coprime to p, a maximal.
 
     Square-free n returns the degenerate witness (p absent, c = n).
     The usable p is the prime whose square divides n; with two or more
-    such primes no witness exists.  Ties cannot occur, but iteration is
-    over ascending primes so the smallest usable p would win.
+    such primes no witness exists.
     """
-    if n < 1:
-        raise ValueError(f"expected a positive dimension, got {n}")
-    factors = factors if factors is not None else factorize(n)
-    squared = [p for p, e in sorted(factors.items()) if e >= 2]
-    if len(squared) > 1:
-        return None
-    if not squared:
-        return Factorization(n=n, p=None, a=0, q=None, b=0, c=n)
-    p = squared[0]
-    a = factors[p]
-    return Factorization(n=n, p=p, a=a, q=None, b=0, c=n // p**a)
+    return _witness(n, factors, 1)
 
 
 def factor_paqbc(n: int, factors: dict[int, int] | None = None) -> Factorization | None:
@@ -61,17 +78,7 @@ def factor_paqbc(n: int, factors: dict[int, int] | None = None) -> Factorization
     With at most one such prime this is the factor_pac witness; with
     exactly two, they are p < q; with three or more no witness exists.
     """
-    if n < 1:
-        raise ValueError(f"expected a positive dimension, got {n}")
-    factors = factors if factors is not None else factorize(n)
-    squared = [p for p, e in sorted(factors.items()) if e >= 2]
-    if len(squared) <= 1:
-        return factor_pac(n, factors)
-    if len(squared) > 2:
-        return None
-    p, q = squared
-    a, b = factors[p], factors[q]
-    return Factorization(n=n, p=p, a=a, q=q, b=b, c=n // (p**a * q**b))
+    return _witness(n, factors, 2)
 
 
 class VerdictKind(Enum):
@@ -82,8 +89,7 @@ class VerdictKind(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class DimensionVerdict:
+class DimensionVerdict(NamedTuple):
     """Outcome of the sufficient conditions for one dimension or ring.
 
     Solvable* kinds assert solvability, WGT* kinds weak
@@ -100,8 +106,7 @@ class DimensionVerdict:
 _HYPOTHESIS = "applies to weakly integral nondegenerate braided categories"
 
 
-@dataclass(frozen=True)
-class BoundCriterion:
+class BoundCriterion(NamedTuple):
     """Below limit, for odd dimensions only if odd_only, a dimension with
     no factorization gets kind when it is one of the acknowledged special
     cases, the ones the established case analysis handles explicitly."""
@@ -129,13 +134,9 @@ def verdict_dimension(n: int) -> DimensionVerdict:
     acknowledged list.
     """
     w = factor_paqbc(n)
-    if w is not None and w.q is None:
-        shape = f"{n} = {w.c}" if w.p is None else f"{n} = {w.p}^{w.a} * {w.c}"
-        notes = f"single-prime criterion: {shape} with square-free cofactor; {_HYPOTHESIS}"
-        return DimensionVerdict(kind=VerdictKind.SOLVABLE_SINGLE_PRIME, witness=w, notes=notes)
     if w is not None:
-        notes = f"two-prime criterion: {n} = {w.p}^{w.a} * {w.q}^{w.b} * {w.c} with square-free cofactor; {_HYPOTHESIS}"
-        return DimensionVerdict(kind=VerdictKind.WGT_TWO_PRIMES, witness=w, notes=notes)
+        kind, primes = (VerdictKind.WGT_TWO_PRIMES, "two") if w.q else (VerdictKind.SOLVABLE_SINGLE_PRIME, "single")
+        return DimensionVerdict(kind, w, f"{primes}-prime criterion: {w} with square-free cofactor; {_HYPOTHESIS}")
     bound = next((b for b in BOUND_CRITERIA if n < b.limit and (n % 2 == 1 or not b.odd_only)), None)
     if bound is None:
         return DimensionVerdict(kind=VerdictKind.UNKNOWN, witness=None, notes=f"no criterion applies to {n}")
@@ -148,8 +149,9 @@ def verdict_dimension(n: int) -> DimensionVerdict:
     return DimensionVerdict(kind=VerdictKind.UNKNOWN, witness=None, notes=notes)
 
 
-def verdict_ring(ring: fusion_ring.FusionRing, data: fpdim.FPDimData) -> DimensionVerdict:
-    """Classify a fusion ring, using exact certificates only.
+def verdict_ring(data: fpdim.FPDimData, prime_power: fpdim.PrimePowerDims | None) -> DimensionVerdict:
+    """Classify a fusion ring, using exact certificates only; prime_power
+    is fpdim.simple_dims_prime_power(data), which the caller holds.
 
     Without weak integrality the criteria do not apply at all.  When
     every certified square is a power of one prime the single-prime
@@ -157,30 +159,21 @@ def verdict_ring(ring: fusion_ring.FusionRing, data: fpdim.FPDimData) -> Dimensi
     total falls through to verdict_dimension.
     """
     if not data.weakly_integral:
-        return DimensionVerdict(
-            kind=VerdictKind.UNKNOWN,
-            witness=None,
-            notes="total dimension is not certified integral, the criteria need a weakly integral ring",
-        )
-    pp = fpdim.simple_dims_prime_power(data)
-    if pp is not None:
+        return DimensionVerdict(VerdictKind.UNKNOWN, None,
+                                "total dimension is not certified integral, the criteria need a weakly integral ring")
+    if prime_power is not None:
         total = data.total_exact
         witness = factor_pac(total) if total is not None and total <= FACTOR_LIMIT else None
-        if pp.pointed:
+        if prime_power.pointed:
             notes = "all dimensions are 1 (pointed), the prime-power dimension criterion holds for every prime"
         else:
-            notes = f"every squared dimension is a power of {pp.prime} (prime-power dimension criterion)"
-        return DimensionVerdict(
-            kind=VerdictKind.SOLVABLE_SINGLE_PRIME,
-            witness=witness,
-            notes=f"{notes}; {_HYPOTHESIS}",
-        )
+            notes = f"every squared dimension is a power of {prime_power.prime} (prime-power dimension criterion)"
+        return DimensionVerdict(VerdictKind.SOLVABLE_SINGLE_PRIME, witness, f"{notes}; {_HYPOTHESIS}")
     assert data.total_exact is not None
     return verdict_dimension(data.total_exact)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Exceptional dimensions below a limit: no p^a q^b c factorization.
 
     acknowledged restricts to the comparable range; divergent lists the

@@ -142,10 +142,13 @@ def parse_metric_file(path: str) -> tuple[tuple[int, ...], list[Fraction], dict]
 
 
 def fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    # the common facts first; a bool is an int, but not exactly one
+    if type(v) is int or type(v) is str:
+        return str(v)
     if v is None:
         return "none"
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (tuple, list)):
@@ -212,7 +215,7 @@ class Report:
 
     def render(self, fmt: str) -> str:
         if fmt == "machine":
-            return "".join(f"{k}={fmt_value(v)}\n" for k, v in self.facts.items())
+            return "".join([f"{k}={fmt_value(v)}\n" for k, v in self.facts.items()])
         out = [self.title, "=" * len(self.title)]
         for heading, lines in self.sections:
             out += ["", heading, *("  " + line for line in lines)]
@@ -270,13 +273,15 @@ def _verdict(report: Report, verdict: classifier.DimensionVerdict, head=(), witn
     """The verdict section analyze and classify share: the caller's head
     lines and facts, then kind, witness and notes; analyze lists the
     witness after the notes."""
-    w = verdict.witness
-    lines = [*head, f"kind: {verdict.kind.value}", f"notes: {verdict.notes}"]
-    if w is not None:
-        bits = [f"{p}^{e}" for p, e in ((w.p, w.a), (w.q, w.b)) if p is not None] + [str(w.c)]
-        lines.insert(len(lines) if witness_last else -1, f"witness: {w.n} = " + " * ".join(bits))
-    witness = {f"witness_{k}": None if w is None else getattr(w, k) for k in "paqbc"}
-    report.section("verdict", lines, **facts, verdict=verdict.kind.value, **witness, verdict_notes=verdict.notes)
+    kind, w, notes = verdict.kind.value, verdict.witness, verdict.notes
+    lines = [*head, f"kind: {kind}", f"notes: {notes}"]
+    if w is None:
+        p = a = q = b = c = None
+    else:
+        _, p, a, q, b, c = w
+        lines.insert(len(lines) if witness_last else -1, f"witness: {w}")
+    report.section("verdict", lines, **facts, verdict=kind, witness_p=p, witness_a=a, witness_q=q, witness_b=b,
+                   witness_c=c, verdict_notes=notes)
 
 
 def _class_section(report: Report, cls: witt.PointedWittClass) -> None:
@@ -379,7 +384,7 @@ def _analysis(report: Report, ring: fusion_ring.FusionRing, tolerance: float) ->
 
     pp = fpdim.simple_dims_prime_power(data) if data.weakly_integral else None
     prime_desc = "none" if pp is None else "pointed" if pp.pointed else str(pp.prime)
-    verdict = classifier.verdict_ring(ring, data)
+    verdict = classifier.verdict_ring(data, pp)
     _verdict(report, verdict, [f"simple dims prime power: {prime_desc}"], witness_last=True, prime_power=prime_desc)
 
 

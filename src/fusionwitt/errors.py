@@ -1,11 +1,10 @@
 """Exception types shared across the package, and the Violation a
 ValidationError carries."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken axiom, with enough indices to locate it."""
 
     kind: str

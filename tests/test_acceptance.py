@@ -156,11 +156,13 @@ def test_prime_power_verdicts():
     for name in ("ising.fr", "rep_s3.fr"):
         ring = load_ring(name)
         data = fpdim.fp_dim_data(ring)
-        assert fpdim.simple_dims_prime_power(data).prime == 2
-        verdict = classifier.verdict_ring(ring, data)
+        pp = fpdim.simple_dims_prime_power(data)
+        assert pp.prime == 2
+        verdict = classifier.verdict_ring(data, pp)
         assert verdict.kind == VerdictKind.SOLVABLE_SINGLE_PRIME
     z6 = load_ring("z6.fr")
-    verdict = classifier.verdict_ring(z6, fpdim.fp_dim_data(z6))
+    data = fpdim.fp_dim_data(z6)
+    verdict = classifier.verdict_ring(data, fpdim.simple_dims_prime_power(data))
     assert verdict.kind in (VerdictKind.SOLVABLE_SINGLE_PRIME, VerdictKind.SOLVABLE_ODD_BELOW_33075)
 
 

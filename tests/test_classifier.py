@@ -1,10 +1,16 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import check_factorization, factorizes_oracle, is_square_free, pointed_ring, recompose
-from fusionwitt.arith import factorize_with_sieve, smallest_factor_sieve
+from fusionwitt.arith import factorize, factorize_with_sieve, smallest_factor_sieve
+from fusionwitt.caps import Cap
 from fusionwitt.classifier import (
+    BoundCriterion,
+    DimensionVerdict,
     Factorization,
+    ScanReport,
     VerdictKind,
     factor_pac,
     factor_paqbc,
@@ -12,7 +18,8 @@ from fusionwitt.classifier import (
     verdict_dimension,
     verdict_ring,
 )
-from fusionwitt.fpdim import fp_dim_data
+from fusionwitt.errors import Violation
+from fusionwitt.fpdim import fp_dim_data, simple_dims_prime_power
 
 
 def as_tuple(f):
@@ -84,6 +91,85 @@ def test_check_validates_witnesses():
         check_factorization(Factorization(n=24, p=2, a=1, q=None, b=0, c=12))  # cofactor not square-free
     with pytest.raises(AssertionError):
         check_factorization(Factorization(n=36, p=3, a=2, q=2, b=2, c=1))      # primes out of order
+
+
+def factor_pac_oracle(n, factors=None):
+    """factor_pac as it read before both witnesses shared one reader:
+    sort the factorization, then filter the squared primes."""
+    if n < 1:
+        raise ValueError(f"expected a positive dimension, got {n}")
+    factors = factors if factors is not None else factorize(n)
+    squared = [p for p, e in sorted(factors.items()) if e >= 2]
+    if len(squared) > 1:
+        return None
+    if not squared:
+        return Factorization(n=n, p=None, a=0, q=None, b=0, c=n)
+    p = squared[0]
+    a = factors[p]
+    return Factorization(n=n, p=p, a=a, q=None, b=0, c=n // p**a)
+
+
+def factor_paqbc_oracle(n, factors=None):
+    """factor_paqbc as it read before, sorting and filtering a second
+    time in factor_pac_oracle."""
+    if n < 1:
+        raise ValueError(f"expected a positive dimension, got {n}")
+    factors = factors if factors is not None else factorize(n)
+    squared = [p for p, e in sorted(factors.items()) if e >= 2]
+    if len(squared) <= 1:
+        return factor_pac_oracle(n, factors)
+    if len(squared) > 2:
+        return None
+    p, q = squared
+    a, b = factors[p], factors[q]
+    return Factorization(n=n, p=p, a=a, q=q, b=b, c=n // (p**a * q**b))
+
+
+# dimensions below 10^7: uniform ones (mostly square-free or one squared
+# prime), and products of small primes (often two or more squared primes)
+DIMENSIONS = st.one_of(
+    st.integers(min_value=1, max_value=10**7 - 1),
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=12).map(prod).filter(lambda n: n < 10**7),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DIMENSIONS, st.randoms(use_true_random=False))
+def test_witness_reader_matches_the_old_witnesses(n, rng):
+    factors = factorize(n)
+    shuffled = dict(rng.sample(sorted(factors.items()), len(factors)))
+    for new, old in ((factor_pac, factor_pac_oracle), (factor_paqbc, factor_paqbc_oracle)):
+        expected = old(n)
+        for given_factors in (None, factors, shuffled):
+            got = new(n, given_factors)
+            assert got == expected == old(n, given_factors), (n, given_factors)
+            assert got is None or type(got) is Factorization
+
+
+# each record type, its field names in order, and one value per field
+RECORDS = [
+    (Factorization, dict(n=12, p=2, a=2, q=None, b=0, c=3)),
+    (DimensionVerdict, dict(kind=VerdictKind.UNKNOWN, witness=None, notes="no criterion applies to 44100")),
+    (BoundCriterion, dict(limit=1800, odd_only=False, acknowledged=(900,), kind=VerdictKind.WGT_BELOW_1800)),
+    (ScanReport, dict(limit=1800, odd_only=False, exceptions=(900, 1764), acknowledged=(900,), divergent=(1764,))),
+    (Violation, dict(kind="unit", where=(0, 1, 1), detail="N[0][1][1] = 0, expected 1")),
+    (Cap, dict(name="order cap", default=32, env="FUSIONWITT_ORDER_CAP", flag="--order-cap")),
+]
+
+
+@pytest.mark.parametrize("record,fields", RECORDS, ids=[r.__name__ for r, _ in RECORDS])
+def test_records_keep_keywords_field_names_and_immutability(record, fields):
+    value = record(**fields)
+    assert record._fields == tuple(fields)
+    assert value == record(*fields.values())
+    assert {name: getattr(value, name) for name in fields} == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_witness_text_leaves_out_absent_primes():
+    assert [str(factor_paqbc(n)) for n in (30, 60, 72)] == ["30 = 30", "60 = 2^2 * 15", "72 = 2^3 * 3^2 * 1"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,32 +268,37 @@ def test_verdict_large_without_criterion():
 # ----------------------------------------------------------- ring verdicts
 
 
+def ring_verdict(ring):
+    data = fp_dim_data(ring)
+    return verdict_ring(data, simple_dims_prime_power(data) if data.weakly_integral else None)
+
+
 def test_ring_verdict_ising(ising_ring):
-    v = verdict_ring(ising_ring, fp_dim_data(ising_ring))
+    v = ring_verdict(ising_ring)
     assert v.kind == VerdictKind.SOLVABLE_SINGLE_PRIME
     assert "power of 2" in v.notes
 
 
 def test_ring_verdict_fibonacci(fibonacci_ring):
-    v = verdict_ring(fibonacci_ring, fp_dim_data(fibonacci_ring))
+    v = ring_verdict(fibonacci_ring)
     assert v.kind == VerdictKind.UNKNOWN
     assert "weakly integral" in v.notes
 
 
 def test_ring_verdict_rep_s3(rep_s3_ring):
-    v = verdict_ring(rep_s3_ring, fp_dim_data(rep_s3_ring))
+    v = ring_verdict(rep_s3_ring)
     assert v.kind == VerdictKind.SOLVABLE_SINGLE_PRIME
 
 
 def test_ring_verdict_pointed_z6(z6_ring):
-    v = verdict_ring(z6_ring, fp_dim_data(z6_ring))
+    v = ring_verdict(z6_ring)
     assert v.kind == VerdictKind.SOLVABLE_SINGLE_PRIME
     assert "pointed" in v.notes
 
 
 def test_ring_verdict_pointed_z30():
     ring = pointed_ring((30,))
-    v = verdict_ring(ring, fp_dim_data(ring))
+    v = ring_verdict(ring)
     assert v.kind == VerdictKind.SOLVABLE_SINGLE_PRIME
 
 

@@ -453,6 +453,20 @@ def test_analyze_lets_unrelated_errors_through(capsys, monkeypatch):
         main(["analyze", corpus.path("ising.fr")])
 
 
+@pytest.mark.parametrize("name", ["ising.fr", "rep_s3.fr", "z6.fr"])
+def test_analyze_runs_the_prime_power_test_once(capsys, monkeypatch, name):
+    calls = []
+    real = fpdim.simple_dims_prime_power
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(fpdim, "simple_dims_prime_power", counting)
+    assert main(["analyze", corpus.path(name)]) == 0
+    assert len(calls) == 1
+
+
 def test_witt_order_machine(capsys):
     code, out, _ = run_cli(capsys, "witt-order", corpus.path("semion.mg"), "--format", "machine")
     assert code == 0

@@ -15,6 +15,9 @@ prime, or one cross term added that meets its congruence.  Every verb
 that reads it must end in exit 0 or 1, and the verbs must agree:
 validate calls the form nondegenerate exactly when witt-class succeeds,
 and witt-subgroup of the one form has the order witt-order prints.
+Each anisotropic part witt-class prints, written back as a file, takes
+no reduction step and comes back as the same part; and the invariant key
+of a one-prime form's class has the order witt-order prints.
 """
 
 import contextlib
@@ -27,6 +30,9 @@ from math import gcd
 
 from fusionwitt import cli, corpus
 from fusionwitt.arith import prime_power_base
+from fusionwitt.metric_group import metric_group
+from fusionwitt.witt import pointed_witt_class
+from test_witt_keys import key_sum, witt_key
 
 SEED = 20130
 MUTANTS = 150
@@ -199,12 +205,48 @@ def disagreements(path, outcome):
     return out
 
 
+def key_order(key):
+    """The order of an invariant key under key_sum; the empty key is the identity's."""
+    n, power = 1, key
+    while power:
+        n, power = n + 1, key_sum(power, key)
+    return n
+
+
+def class_checks(path, outcome):
+    """How a nondegenerate mutant's printed class disagrees with itself
+    written back, or with its invariant key.  No verb prints the cross
+    terms of a representative, so the file of a part takes them from the
+    package's representative."""
+    printed, order = (cli.parse_machine(outcome[verb][4]) for verb in ("witt-class", "witt-order"))
+    mg = metric_group(*cli.parse_metric_file(str(path)))
+    cls = pointed_witt_class(mg)
+    out = []
+    for p, rep in cls.parts:
+        part = {key: printed[f"part_{p}_{key}"] for key in ("anisotropic_orders", "anisotropic_q", "argument")}
+        # a one-value list reads back as its value
+        orders, q = (v if isinstance(v, tuple) else (v,) for v in (part["anisotropic_orders"], part["anisotropic_q"]))
+        cross = "".join(f"b {i + 1} {j + 1} {v}\n" for i, row in enumerate(rep.form.cross) for j, v in enumerate(row)
+                        if i < j and v)
+        rep_path = path.with_name(f"{path.stem}_part{p}.mg")
+        rep_path.write_text(f"orders {' '.join(map(str, orders))}\nq {' '.join(map(str, q))}\n{cross}", encoding="utf-8")
+        status, err, _, _, text = run(["witt-class", "--format", "machine", str(rep_path)])
+        again = cli.parse_machine(text)
+        if status != 0 or (again.get("primes"), again.get(f"part_{p}_steps")) != (p, 0) or any(
+                again.get(f"part_{p}_{key}") != value for key, value in part.items()):
+            out.append(f"{path}: part {p} printed as {part} comes back as {again} (exit {status}: {err!r})")
+    key = witt_key(cls)
+    if prime_power_base(mg.size) is not None and key_order(key) != order.get("witt_order"):
+        out.append(f"{path}: key {key} has order {key_order(key)}, witt-order prints {order.get('witt_order')}")
+    return out
+
+
 def test_verbs_agree_on_parsing_metric_mutants(tmp_path):
     files = corpus_lines()
     q_values = sorted({w for lines in files.values() for line in lines if line.startswith("q ") for w in line.split()[1:]})
     rng = random.Random(SEED)
     names = sorted(n for n in files if n.endswith(".mg"))
-    problems, runs, witt_successes = [], 0, 0
+    problems, runs, witt_successes, class_checked = [], 0, 0, 0
     start = time.perf_counter()
     for m in range(MUTANTS):
         name = rng.choice(names)
@@ -222,8 +264,12 @@ def test_verbs_agree_on_parsing_metric_mutants(tmp_path):
                     problems.append(f"{' '.join(argv)}: {why}\n{path.read_text()}")
             if fmt == "machine":
                 problems += disagreements(path, outcome)
+                if outcome["witt-class"][0] == 0:
+                    problems += class_checks(path, outcome)
+                    class_checked += 1
     seconds = time.perf_counter() - start
     assert not problems, f"{len(problems)} of {runs} runs failed; first:\n" + "\n".join(problems[:3])
     assert witt_successes >= 100
+    assert class_checked >= 15
     assert seconds < 5.0
 

@@ -24,8 +24,9 @@ from fusionwitt import corpus, metric_group
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 
-# runs `cli.main(argv)` when argv is given, then prints the status and
-# which fusionwitt modules are registered and which are still unloaded
+# runs `cli.main(argv)` when argv is given, then prints the status, which
+# fusionwitt modules are registered and which are still unloaded, and
+# whether dataclasses was imported
 PROBE = """
 import contextlib, io, json, sys, types
 from fusionwitt import cli
@@ -34,7 +35,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(sys.argv[1:])
 modules = {name: m for name, m in sys.modules.items() if name.startswith("fusionwitt.")}
-print(json.dumps({"status": status, "registered": sorted(modules),
+print(json.dumps({"status": status, "registered": sorted(modules), "dataclasses": "dataclasses" in sys.modules,
                   "unloaded": sorted(name.partition(".")[2] for name, m in modules.items()
                                      if type(m) is not types.ModuleType)}))
 """
@@ -43,7 +44,8 @@ WITT_SIDE = {"metric_group", "witt", "snf", "cyclotomic"}
 
 def run_fresh(*argv: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(fusionwitt.__file__).resolve().parents[1])}
-    run = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60,
+    # -S: no site module, so no .pth file of an installed package imports anything first
+    run = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], capture_output=True, text=True, timeout=60,
                          env=env, check=True)
     return json.loads(run.stdout)
 
@@ -66,6 +68,8 @@ def test_dimension_verbs_leave_the_ring_and_witt_layers_unloaded(argv):
     probe = run_fresh(*argv)
     assert probe["status"] == 0
     assert {"fpdim", "fusion_ring"} | WITT_SIDE <= set(probe["unloaded"])
+    # their records are named tuples; importing dataclasses costs about 10 ms
+    assert not probe["dataclasses"]
 
 
 def test_analyze_leaves_the_witt_layers_unloaded():
