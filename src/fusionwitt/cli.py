@@ -245,8 +245,19 @@ def _load_metric(path: str) -> metric_group.MetricGroup:
     return mg
 
 
+def _form_values(mg: metric_group.MetricGroup) -> tuple[tuple[Fraction, ...], dict[tuple[int, int], Fraction]]:
+    """q(e_i) of each generator, and each nonzero b(e_i, e_j) keyed by
+    (i, j), 1-based with i < j as in the file format."""
+    L = mg.level
+    q = tuple(Fraction(row[i] // 2, L) for i, row in enumerate(mg.gram))
+    b = {(i + 1, j + 1): Fraction(c, L) for i, row in enumerate(mg.gram) for j, c in enumerate(row) if i < j and c}
+    return q, b
+
+
 def _form_text(mg: metric_group.MetricGroup) -> str:
-    return f"orders ({fmt_value(mg.orders)}) q ({' '.join(str(v) for v in mg.form.diag)})"
+    q, b = _form_values(mg)
+    cross = "".join(f" b {i} {j} {v}" for (i, j), v in b.items())
+    return f"orders ({fmt_value(mg.orders)}) q ({' '.join(str(v) for v in q)}){cross}"
 
 
 def _describe_class(c: witt.PointedWittClass) -> str:
@@ -409,8 +420,10 @@ def _cmd_witt_class(args) -> Report:
                         f" -> ({fmt_value(s.orders_after)}), argument {s.argument}")
         if rep.size > 1:
             final_parts.append((p, rep))
+        q, b = _form_values(rep)
         report.line(f"anisotropic: {_form_text(rep) if rep.size > 1 else 'trivial'}",
-                    **{f"part_{p}_anisotropic_orders": rep.orders, f"part_{p}_anisotropic_q": tuple(rep.form.diag)})
+                    **{f"part_{p}_anisotropic_orders": rep.orders, f"part_{p}_anisotropic_q": q},
+                    **{f"part_{p}_anisotropic_b_{i}_{j}": v for (i, j), v in b.items()})
         report.line(f"gauss argument preserved: {fmt_value(argument == rep_argument)}",
                     **{f"part_{p}_argument": rep_argument})
     _class_section(report, witt.PointedWittClass(parts=tuple(final_parts)))

@@ -174,8 +174,8 @@ class FPDimData:
 
     exact_square[i] = s means sqrt(s) is proved an eigenvalue of the left
     matrix of X_i, and s is the rounded square of its Perron value dims[i];
-    None means no integer certificate exists at this tolerance.  total
-    carries float error up to rank * tolerance * (2 max dim + 1).
+    None means no integer certificate exists at fp_dim_data's tolerance.
+    total carries float error up to rank * tolerance * (2 max dim + 1).
     """
 
     dims: tuple[float, ...]
@@ -184,7 +184,6 @@ class FPDimData:
     total_exact: int | None
     integral: bool
     weakly_integral: bool
-    tolerance: float
 
 
 def fp_dim_data(ring: FusionRing, tolerance: float = 1e-12) -> FPDimData:
@@ -219,7 +218,6 @@ def fp_dim_data(ring: FusionRing, tolerance: float = 1e-12) -> FPDimData:
         total_exact=total_exact,
         integral=integral,
         weakly_integral=total_exact is not None,
-        tolerance=tolerance,
     )
 
 

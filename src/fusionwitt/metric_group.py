@@ -1,14 +1,14 @@
 """Finite abelian groups with quadratic forms into Q/Z, all exact.
 
-A metric group is stored in invariant-factor form d_1 | d_2 | ... | d_k
-and held in integers: its level L, the lcm of the denominators of the
-values q(e_i) and b(e_i, e_j), and the Gram matrix G_ij = L b(e_i, e_j)
-with the diagonal kept as 2 L q(e_i).  Every constructor ends in one
-integer constructor, which checks the chain and the congruences as
-integer congruences mod L and decides nondegeneracy from the Gram
-matrix, without enumerating the group.  Fractions appear only at the
-edges: metric_group() and validate_metric() read Fraction input, and
-q and the derived form hand values back out.  The Gauss sum is
+A metric group is its integer data: the invariant factors
+d_1 | d_2 | ... | d_k of its group, its level L, the lcm of the
+denominators of the values q(e_i) and b(e_i, e_j), and the Gram matrix
+G_ij = L b(e_i, e_j) with the diagonal kept as 2 L q(e_i).  Every
+constructor ends in one integer constructor, which checks the chain and
+the congruences as integer congruences mod L and decides nondegeneracy
+from the Gram matrix, without enumerating the group.  Fractions appear
+only at the edges: metric_group() and validate_metric() read Fraction
+input, and q hands a value back out.  The Gauss sum is
 computed once per (immutable) object.  Degenerate forms are
 representable (the radical can be nontrivial) and nondegeneracy is
 recorded on the object, but only a nondegenerate form has a Gauss sum.
@@ -33,74 +33,29 @@ from .snf import lattice_index, mat_mul, rebase_presentation
 
 
 @dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Product of cyclic groups Z_d1 x ... x Z_dk, d_1 | d_2 | ... | d_k.
+class MetricGroup:
+    """A quadratic form into Q/Z on Z_d1 x ... x Z_dk, held in integers.
 
-    Elements are integer tuples with 0 <= x_i < d_i.  The empty tuple of
-    orders is the trivial group with single element ().
+    orders d_1 | d_2 | ... | d_k are the group: its elements are the
+    integer tuples x with 0 <= x_i < d_i, and the empty tuple of orders
+    is the trivial group with single element ().  level L is the lcm of
+    the denominators of q(e_i) and b(e_i, e_j); gram holds
+    G_ij = L b(e_i, e_j) in [0, L), with the diagonal kept as 2 L q(e_i)
+    in [0, 2 L), so that x^T G x = 2 L q(x) exactly.
     """
 
     orders: tuple[int, ...]
+    level: int
+    gram: tuple[tuple[int, ...], ...]
+    nondegenerate: bool
 
     @property
     def size(self) -> int:
         return prod(self.orders)
 
     def elements(self):
+        """Every element of the group, in lexicographic order."""
         return product(*(range(d) for d in self.orders))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
-
-    def add(self, x, y) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
-
-    def scale(self, n: int, x) -> tuple[int, ...]:
-        return tuple((n * a) % d for a, d in zip(x, self.orders))
-
-    def element_order(self, x) -> int:
-        return lcm(*(d // gcd(d, a) for a, d in zip(x, self.orders))) if self.orders else 1
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """q on generators (diag) and the pairing b on generator pairs (cross).
-
-    cross is a full symmetric matrix with zero diagonal; q(e_i) = diag[i]
-    and b(e_i, e_j) = cross[i][j] for i != j.  All entries live in Q/Z.
-    """
-
-    diag: tuple[Fraction, ...]
-    cross: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class MetricGroup:
-    """level L is the lcm of the denominators of q(e_i) and b(e_i, e_j);
-    gram holds G_ij = L b(e_i, e_j) in [0, L), with the diagonal kept as
-    2 L q(e_i) in [0, 2 L), so that x^T G x = 2 L q(x) exactly."""
-
-    group: FiniteAbelianGroup
-    level: int
-    gram: tuple[tuple[int, ...], ...]
-    nondegenerate: bool
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return self.group.orders
-
-    @property
-    def size(self) -> int:
-        return self.group.size
-
-    @cached_property
-    def form(self) -> QuadraticForm:
-        """The generator values as Fractions, for printing and tests."""
-        L = self.level
-        return QuadraticForm(
-            diag=tuple(Fraction(row[i] // 2, L) for i, row in enumerate(self.gram)),
-            cross=tuple(tuple(Fraction(0 if i == j else c, L) for j, c in enumerate(row)) for i, row in enumerate(self.gram)),
-        )
 
     def value(self, x) -> int:
         """L q(x) mod L for an integer tuple x, unchecked: half of x^T G x."""
@@ -132,7 +87,7 @@ class MetricGroup:
             raise ValueError("Gauss sum needs a nondegenerate metric group")
         level = lcm(8, self.level)
         step = level // self.level
-        counts = Counter(map(self.value, self.group.elements()))
+        counts = Counter(map(self.value, self.elements()))
         g = CycInt.from_exponent_counts(level, {v * step: c for v, c in counts.items()})
         g2 = g * g
         quarter = next(
@@ -233,12 +188,12 @@ def _metric(orders, level: int, gram) -> MetricGroup:
     violations = _violations(orders, L, gram)
     if violations:
         raise ValidationError(violations)
-    group = FiniteAbelianGroup(tuple(orders))
-    ELEMENT_CAP.check(group.size, f"group of order {group.size}")
+    size = prod(orders)
+    ELEMENT_CAP.check(size, f"group of order {size}")
     # the radical is the kernel of x -> G x mod L on A, whose image in
     # (Z/L)^k has order L^k / [Z^k : G Z^k + L Z^k]
-    nondegenerate = L**k == group.size * lattice_index(gram, L)
-    return MetricGroup(group=group, level=L, gram=gram, nondegenerate=nondegenerate)
+    nondegenerate = L**k == size * lattice_index(gram, L)
+    return MetricGroup(orders=tuple(orders), level=L, gram=gram, nondegenerate=nondegenerate)
 
 
 def metric_group(orders, diag, cross=()) -> MetricGroup:
@@ -315,7 +270,7 @@ def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     gram = tuple(tuple(sa * c for c in row) + (0,) * (k - ka) for row in a.gram)
     gram += tuple((0,) * ka + tuple(sb * c for c in row) for row in b.gram)
     # block object used only as an evaluation ambient; orders need not chain
-    ambient = MetricGroup(FiniteAbelianGroup(orders), L, gram, a.nondegenerate and b.nondegenerate)
+    ambient = MetricGroup(orders, L, gram, a.nondegenerate and b.nondegenerate)
     gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
     relations = [[orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
     out = _metric_from_generators(ambient, gens, relations, a.size * b.size)

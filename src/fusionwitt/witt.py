@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator
 
@@ -41,7 +42,7 @@ def isotropic_elements(mg: MetricGroup) -> Iterator[tuple[int, ...]]:
     as far as the caller reads.
     """
     ELEMENT_CAP.check(mg.size, f"group of order {mg.size}")
-    return (x for x in mg.group.elements() if any(x) and mg.value(x) == 0)
+    return (x for x in mg.elements() if any(x) and mg.value(x) == 0)
 
 
 def reduce_once(mg: MetricGroup, x: tuple[int, ...]) -> MetricGroup:
@@ -64,7 +65,7 @@ def reduce_once(mg: MetricGroup, x: tuple[int, ...]) -> MetricGroup:
     if mg.value(x):
         raise ValueError(f"q({x}) = {mg.q(x)} is nonzero")
     orders = mg.orders
-    ord_x = mg.group.element_order(x)
+    ord_x = lcm(*(d // gcd(d, a) for a, d in zip(x, orders)))
     gens = [tuple(a % d for a, d in zip(z, orders)) for z in integer_kernel([[*mg.pairing_row(x), mg.level]])]
 
     # relation lattice of the quotient: a is a relation iff
@@ -183,11 +184,11 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
         return None
     # the level is the lcm of all q-value denominators, so equal levels and
     # equal sorted L q values are equal sorted q values
-    if a.level != b.level or sorted(map(a.value, a.group.elements())) != sorted(map(b.value, b.group.elements())):
+    if a.level != b.level or sorted(map(a.value, a.elements())) != sorted(map(b.value, b.elements())):
         return None
     if not a.orders:
         return []
-    return _extend(a, b, list(b.group.elements()), [], [])
+    return _extend(a, b, list(b.elements()), [], [])
 
 
 def _extend(a: MetricGroup, b: MetricGroup, belems: list[tuple[int, ...]], images: list[tuple[int, ...]],
@@ -198,17 +199,15 @@ def _extend(a: MetricGroup, b: MetricGroup, belems: list[tuple[int, ...]], image
     so that the recursion builds no closure that refers to itself."""
     i = len(images)
     if i == len(a.orders):
-        seen = set()
-        for coeffs in a.group.elements():
-            acc = b.group.zero()
-            for c, y in zip(coeffs, images):
-                acc = b.group.add(acc, b.group.scale(c, y))
-            seen.add(acc)
+        # the images generate b when their combinations reach every element
+        cols = list(zip(*images))
+        seen = {tuple(sum(map(mul, coeffs, col)) % d for col, d in zip(cols, b.orders)) for coeffs in a.elements()}
         return list(images) if len(seen) == b.size else None
     # the levels are equal, so values and pairings compare in units of 1/L
-    want, L = a.gram[i], a.level
+    want, L, n = a.gram[i], a.level, a.orders[i]
     for y in belems:
-        if b.group.scale(a.orders[i], y) != b.group.zero():
+        # the image of a generator of order n has order dividing n
+        if any(n * c % d for c, d in zip(y, b.orders)):
             continue
         if b.value(y) != want[i] // 2:
             continue

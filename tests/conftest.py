@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import pytest
@@ -51,6 +51,16 @@ def pointed_ring(orders: tuple[int, ...]) -> FusionRing:
             coeff[index[x]][index[y]][index[add(x, y)]] = 1
     labels = ["1" if not any(e) else "g" + "".join(str(a) for a in e) for e in elements]
     return make_ring(labels, [index[neg(e)] for e in elements], coeff)
+
+
+def group_add(orders, x, y) -> tuple[int, ...]:
+    """x + y in Z_d1 x ... x Z_dk."""
+    return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+
+def element_order(orders, x) -> int:
+    """The order of x in Z_d1 x ... x Z_dk."""
+    return lcm(*(d // gcd(d, a) for a, d in zip(x, orders)))
 
 
 def bilinear(mg, x, y) -> Fraction:

@@ -413,6 +413,5 @@ def test_prime_power_mixed_primes_returns_none():
         total_exact=14,
         integral=True,
         weakly_integral=True,
-        tolerance=1e-12,
     )
     assert simple_dims_prime_power(data) is None

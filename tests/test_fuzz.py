@@ -213,27 +213,34 @@ def key_order(key):
     return n
 
 
+def part_facts(report, p):
+    """The anisotropic representative of the p-part and its Gauss argument,
+    from a witt-class machine report, keyed without the part_<p>_ prefix."""
+    prefix = f"part_{p}_"
+    return {key[len(prefix):]: v for key, v in report.items()
+            if key.startswith(prefix + "anisotropic_") or key == prefix + "argument"}
+
+
 def class_checks(path, outcome):
     """How a nondegenerate mutant's printed class disagrees with itself
-    written back, or with its invariant key.  No verb prints the cross
-    terms of a representative, so the file of a part takes them from the
-    package's representative."""
+    written back, or with its invariant key.  The file of a part is
+    written from the printed facts alone: its orders, its q values and
+    its part_<p>_anisotropic_b_<i>_<j> cross terms."""
     printed, order = (cli.parse_machine(outcome[verb][4]) for verb in ("witt-class", "witt-order"))
     mg = metric_group(*cli.parse_metric_file(str(path)))
     cls = pointed_witt_class(mg)
     out = []
-    for p, rep in cls.parts:
-        part = {key: printed[f"part_{p}_{key}"] for key in ("anisotropic_orders", "anisotropic_q", "argument")}
+    for p in cls.primes:
+        part = part_facts(printed, p)
         # a one-value list reads back as its value
         orders, q = (v if isinstance(v, tuple) else (v,) for v in (part["anisotropic_orders"], part["anisotropic_q"]))
-        cross = "".join(f"b {i + 1} {j + 1} {v}\n" for i, row in enumerate(rep.form.cross) for j, v in enumerate(row)
-                        if i < j and v)
+        cross = "".join(f"b {' '.join(key.split('_')[2:])} {v}\n" for key, v in part.items()
+                        if key.startswith("anisotropic_b_"))
         rep_path = path.with_name(f"{path.stem}_part{p}.mg")
         rep_path.write_text(f"orders {' '.join(map(str, orders))}\nq {' '.join(map(str, q))}\n{cross}", encoding="utf-8")
         status, err, _, _, text = run(["witt-class", "--format", "machine", str(rep_path)])
         again = cli.parse_machine(text)
-        if status != 0 or (again.get("primes"), again.get(f"part_{p}_steps")) != (p, 0) or any(
-                again.get(f"part_{p}_{key}") != value for key, value in part.items()):
+        if status != 0 or (again.get("primes"), again.get(f"part_{p}_steps")) != (p, 0) or part_facts(again, p) != part:
             out.append(f"{path}: part {p} printed as {part} comes back as {again} (exit {status}: {err!r})")
     key = witt_key(cls)
     if prime_power_base(mg.size) is not None and key_order(key) != order.get("witt_order"):

@@ -273,3 +273,39 @@ NON_CLI = [path for path in SOURCES if path.name != "cli.py"]
 @pytest.mark.parametrize("path", NON_CLI, ids=[str(p.relative_to(PACKAGE.parent)) for p in NON_CLI])
 def test_only_cli_writes_output(path):
     assert output_writes(path.read_text(encoding="utf-8")) == []
+
+
+def metric_group_constructions(source: str) -> list[str]:
+    """The calls of MetricGroup in source, by its name or as an attribute.
+
+    metric_group.py builds every metric group a verb sees through one
+    integer constructor, which checks the invariant-factor chain, the
+    congruences and the element cap; a group built anywhere else would
+    skip those checks.
+    """
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name == "MetricGroup":
+                calls.append((node.lineno, node.col_offset, ast.unparse(node.func)))
+    return [f"line {line}: {name}" for line, _, name in sorted(calls)]
+
+
+def test_metric_group_constructions_are_found():
+    source = (
+        "from .metric_group import MetricGroup\n"
+        "def build(orders, gram):\n"
+        "    a = MetricGroup(orders, 1, gram, True)\n"
+        "    b = metric_group.MetricGroup(orders, 1, gram, True)\n"
+        "    return a, b, isinstance(a, MetricGroup), metric_group.metric_group(orders, ())\n"
+    )
+    assert metric_group_constructions(source) == ["line 3: MetricGroup", "line 4: metric_group.MetricGroup"]
+
+
+NOT_METRIC_GROUP = [path for path in SOURCES if path.name != "metric_group.py"]
+
+
+@pytest.mark.parametrize("path", NOT_METRIC_GROUP, ids=[str(p.relative_to(PACKAGE.parent)) for p in NOT_METRIC_GROUP])
+def test_only_metric_group_builds_a_metric_group(path):
+    assert metric_group_constructions(path.read_text(encoding="utf-8")) == []

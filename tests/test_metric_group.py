@@ -4,19 +4,19 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bilinear, load_metric
+from conftest import bilinear, element_order, group_add, load_metric
 from fusionwitt import cli, corpus, metric_group as metric_group_module, witt
 from fusionwitt.arith import factorize
 from fusionwitt.caps import ELEMENT_CAP
 from fusionwitt.errors import CapExceededError, ValidationError
 from fusionwitt.fusion_ring import Violation
 from fusionwitt.metric_group import (
-    FiniteAbelianGroup,
-    QuadraticForm,
+    MetricGroup,
     _metric_from_generators,
     direct_sum,
     gauss_sum,
@@ -102,10 +102,10 @@ def test_evaluation_range_check(semion):
 
 
 def test_polarization_identity(hyperbolic3):
-    g = hyperbolic3.group
-    for x in g.elements():
-        for y in g.elements():
-            expected = (hyperbolic3.q(g.add(x, y)) - hyperbolic3.q(x) - hyperbolic3.q(y)) % 1
+    elements = list(hyperbolic3.elements())
+    for x in elements:
+        for y in elements:
+            expected = (hyperbolic3.q(group_add(hyperbolic3.orders, x, y)) - hyperbolic3.q(x) - hyperbolic3.q(y)) % 1
             assert bilinear(hyperbolic3, x, y) == expected
     assert bilinear(hyperbolic3, (1, 0), (0, 1)) == F(1, 3)
 
@@ -113,7 +113,7 @@ def test_polarization_identity(hyperbolic3):
 def radical_oracle(mg):
     """Every x with b(x, -) identically zero, found element by element:
     the scan that the lattice index in metric_group() replaces."""
-    return [x for x in mg.group.elements() if not any(mg.pairing_row(x))]
+    return [x for x in mg.elements() if not any(mg.pairing_row(x))]
 
 
 def test_radical_detects_degeneracy():
@@ -135,8 +135,8 @@ def test_building_a_metric_group_enumerates_nothing(monkeypatch, semion, z3_thir
     forms = [cli.parse_metric_file(corpus.path(name)) for name in names]
     forms.append(((3, 3**9), [F(1, 3), F(1, 3**9)], {}))
     enumerations = []
-    original = FiniteAbelianGroup.elements
-    monkeypatch.setattr(FiniteAbelianGroup, "elements", lambda g: enumerations.append(g) or original(g))
+    original = MetricGroup.elements
+    monkeypatch.setattr(MetricGroup, "elements", lambda mg: enumerations.append(mg) or original(mg))
     built = [metric_group(*form) for form in forms]
     assert [mg.nondegenerate for mg in built] == [name != "z2_fermion_degenerate.mg" for name in names] + [True]
     sylow_decompose(built[-1])
@@ -171,7 +171,7 @@ def test_gauss_sum_table(name, mag2, argument):
 
 
 def numeric_gauss(mg):
-    return sum(cmath.exp(2j * cmath.pi * mg.q(x)) for x in mg.group.elements())
+    return sum(cmath.exp(2j * cmath.pi * mg.q(x)) for x in mg.elements())
 
 
 def circular_close(a: float, b: float, eps: float = 1e-9) -> bool:
@@ -287,9 +287,24 @@ def test_random_diagonal_forms_validate_and_satisfy_milgram(data):
 # ------------------------------------- integer evaluator against Fractions
 
 
+class Form(NamedTuple):
+    """Generator values mod 1: q(e_i) = diag[i], and b(e_i, e_j) =
+    cross[i][j] for i != j in a full symmetric matrix with zero diagonal."""
+
+    diag: tuple[Fraction, ...]
+    cross: tuple[tuple[Fraction, ...], ...]
+
+
+def fraction_form(mg) -> Form:
+    """The generator values of a metric group, read off its Gram matrix."""
+    L = mg.level
+    return Form(tuple(F(row[i] // 2, L) for i, row in enumerate(mg.gram)),
+                tuple(tuple(F(0 if i == j else c, L) for j, c in enumerate(row)) for i, row in enumerate(mg.gram)))
+
+
 def oracle_q(form, x) -> Fraction:
     """q(x) = sum x_i^2 q_i + sum_{i<j} x_i x_j b_ij mod 1 in Fractions,
-    straight from the generator values of a QuadraticForm, without a level."""
+    straight from the generator values of a Form, without a level."""
     total = Fraction(0)
     diag, cross = form.diag, form.cross
     for i, a in enumerate(x):
@@ -328,16 +343,15 @@ def forms_with_cross_terms(draw, max_size=64):
 def test_integer_evaluator_matches_fraction_oracle(form):
     mg = metric_group(*form)
     drawn = fraction_ambient(*form)
-    assert mg.form == drawn.form
-    g = mg.group
-    elements = list(g.elements())
+    assert (mg.orders, mg.level, mg.gram) == integer_data(drawn)
+    elements = list(mg.elements())
     q = {x: oracle_q(drawn.form, x) for x in elements}
     assert all(mg.q(x) == q[x] for x in elements)
-    pairing = {(x, y): (q[g.add(x, y)] - q[x] - q[y]) % 1 for x in elements for y in elements}
+    pairing = {(x, y): (q[group_add(mg.orders, x, y)] - q[x] - q[y]) % 1 for x in elements for y in elements}
     assert all(bilinear(mg, x, y) == pairing[x, y] for x in elements for y in elements)
     rad = [x for x in elements if all(pairing[x, y] == 0 for y in elements)]
     assert radical_oracle(mg) == rad
-    assert mg.nondegenerate == (rad == [g.zero()])
+    assert mg.nondegenerate == (rad == [(0,) * len(mg.orders)])
     isotropic = [x for x in elements if any(x) and q[x] == 0]
     assert list(isotropic_elements(mg)) == isotropic
     if not mg.nondegenerate:
@@ -353,9 +367,9 @@ def test_integer_evaluator_matches_fraction_oracle(form):
         # the quotient's values, each counted ord(x) times, are q on x-perp
         perp = [y for y in elements if pairing[x, y] == 0]
         rep = reduce_once(mg, x)
-        ord_x = g.element_order(x)
+        ord_x = element_order(mg.orders, x)
         assert len(perp) == rep.size * ord_x
-        values = Counter(oracle_q(rep.form, z) for z in rep.group.elements())
+        values = Counter(oracle_q(fraction_form(rep), z) for z in rep.elements())
         assert Counter({v: c * ord_x for v, c in values.items()}) == Counter(q[y] for y in perp)
 
 
@@ -370,7 +384,7 @@ class FractionAmbient:
     chain."""
 
     orders: tuple[int, ...]
-    form: QuadraticForm
+    form: Form
 
     def q(self, x) -> Fraction:
         return oracle_q(self.form, x)
@@ -386,7 +400,16 @@ def fraction_ambient(orders, diag, cross=()) -> FractionAmbient:
     mat = [[F(0)] * k for _ in range(k)]
     for (i, j), v in dict(cross).items():
         mat[i][j] = mat[j][i] = F(v) % 1
-    return FractionAmbient(tuple(orders), QuadraticForm(tuple(F(v) % 1 for v in diag), tuple(map(tuple, mat))))
+    return FractionAmbient(tuple(orders), Form(tuple(F(v) % 1 for v in diag), tuple(map(tuple, mat))))
+
+
+def integer_data(ambient) -> tuple:
+    """(orders, level, gram) that the Fraction values of ambient define."""
+    diag, cross = ambient.form
+    level = lcm(*(v.denominator for row in (diag, *cross) for v in row))
+    gram = tuple(tuple(int(2 * diag[i] * level) if i == j else int(v * level) for j, v in enumerate(row))
+                 for i, row in enumerate(cross))
+    return ambient.orders, level, gram
 
 
 def restricted_oracle(ambient, orders, gens):
@@ -399,13 +422,12 @@ def from_generators_oracle(ambient, gens, relations, expected_size):
     """_metric_from_generators with the new generators summed by scale and add."""
     if not gens:
         return fraction_ambient((), ())
-    group = FiniteAbelianGroup(ambient.orders)
     orders, combos = rebase_presentation(relations, len(gens))
     new_gens = []
     for combo in combos:
-        acc = group.zero()
+        acc = (0,) * len(ambient.orders)
         for c, h in zip(combo, gens):
-            acc = group.add(acc, group.scale(c, h))
+            acc = group_add(ambient.orders, acc, tuple(c * a for a in h))
         new_gens.append(acc)
     kept = [(o, h) for o, h in zip(orders, new_gens) if o > 1]
     assert prod(o for o, _ in kept) == expected_size
@@ -418,7 +440,7 @@ def direct_sum_oracle(a, b):
     for off, mg in ((0, a), (ka, b)):
         for i, row in enumerate(mg.form.cross):
             cross[off + i][off:off + len(row)] = row
-    ambient = FractionAmbient(a.orders + b.orders, QuadraticForm(a.form.diag + b.form.diag, tuple(map(tuple, cross))))
+    ambient = FractionAmbient(a.orders + b.orders, Form(a.form.diag + b.form.diag, tuple(map(tuple, cross))))
     gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
     relations = [[ambient.orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
     return from_generators_oracle(ambient, gens, relations, prod(ambient.orders))
@@ -441,22 +463,18 @@ def sylow_oracle(mg):
 
 
 def inverse_oracle(mg):
-    return FractionAmbient(mg.orders, QuadraticForm(
+    return FractionAmbient(mg.orders, Form(
         tuple(-v % 1 for v in mg.form.diag), tuple(tuple(-v % 1 for v in row) for row in mg.form.cross)))
 
 
 def assert_same_metric(new, old):
     """new is the object metric_group() builds from the Fraction values of
-    old, with the level, gram and form that those values define."""
+    old, with the orders, level and gram that those values define."""
     k = len(old.orders)
-    diag, cross = old.form.diag, old.form.cross
+    diag, cross = old.form
     assert new == metric_group(old.orders, diag, {(i, j): cross[i][j] for i in range(k) for j in range(i + 1, k)})
-    assert new.form == old.form
-    level = lcm(*(v.denominator for row in (diag, *cross) for v in row))
-    assert new.level == level
-    assert new.gram == tuple(tuple(int(2 * diag[i] * level) if i == j else int(v * level) for j, v in enumerate(row))
-                             for i, row in enumerate(cross))
-    assert new.nondegenerate == (radical_oracle(new) == [new.group.zero()])
+    assert (new.orders, new.level, new.gram) == integer_data(old)
+    assert new.nondegenerate == (radical_oracle(new) == [(0,) * k])
 
 
 @settings(max_examples=150, deadline=None)
