@@ -4,7 +4,10 @@ golden.json holds the exit status and stdout of every verb on every
 corpus file it applies to, in both formats, run from the corpus
 directory so the report titles carry bare file names.  It includes the
 witt-subgroup closure of the six corpus 2-groups, the slowest case and
-the only one that pins the 2-primary closure with cross terms.
+the only one that pins the 2-primary closure with cross terms.  classify
+runs on the paper's divergences 1764 and 27225, on its acknowledged
+cases 900 (WGTBelow1800) and 11025 (SolvableOddBelow33075), and on the
+odd bound 33075 itself, where no criterion applies.
 
 The corpus never goes above order 8, so LARGE_LEVEL_STDOUT also pins
 witt-class and witt-order on five forms of order 2^12, 3^7, 2^15 and
@@ -48,7 +51,9 @@ def cases() -> list[str]:
         ["witt-subgroup", "semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_hyperbolic.mg", "z4_eighth.mg",
          "z8_sixteenth.mg"],
     ]
-    runs += [["classify", n] for n in ("1764", "27225", "4")]
+    # 900 and 11025 are the acknowledged cases below each bound; 33075,
+    # the odd bound itself, is where no criterion applies
+    runs += [["classify", n] for n in ("1764", "27225", "4", "900", "11025", "33075")]
     runs += [["scan", "1800"], ["scan", "33075", "--odd"]]
     return [" ".join(argv + ["--format", fmt]) for argv in runs for fmt in ("text", "machine")]
 
