@@ -3,7 +3,10 @@
 Everything here works with plain Python integers and is deterministic.
 Factorization is trial division by the primes up to isqrt(FACTOR_LIMIT),
 taken in blocks: one gcd with a block's product skips every block that
-holds no factor of n.
+holds no factor of n.  Scans factorize every n below a limit from a
+smallest-factor sieve instead: 2 bytes per n, 0 where n has no factor
+below itself, built by one slice assignment per prime up to the square
+root of the limit.
 """
 
 from __future__ import annotations
@@ -20,16 +23,26 @@ PRIME_BLOCK = 24
 
 
 def smallest_factor_sieve(limit: int) -> array:
-    """Array s with s[n] = smallest prime factor of n, for 0 <= n < limit.
+    """Array s, for 0 <= n < limit, with s[n] the smallest prime factor of
+    a composite n and s[n] = 0 when n is prime, 0 or 1.
 
-    Entries are C ints, 4 bytes each: scans keep limit <= FACTOR_LIMIT,
-    far below 2**31, and array raises OverflowError rather than wrap."""
-    s = array("i", range(limit))
-    for p in range(2, isqrt(limit - 1) + 1):
-        if s[p] == p:
-            for m in range(p * p, limit, p):
-                if s[m] == m:
-                    s[m] = p
+    Entries are unsigned shorts, 2 bytes each: a composite n < limit has
+    a prime factor of at most isqrt(limit - 1), which is 3162 at
+    FACTOR_LIMIT and below 2**16 for every limit up to 2**32; array
+    raises OverflowError rather than wrap.  The primes up to that root
+    come from a small bytearray sieve; each, largest first, then fills
+    its multiples from p*p on in one slice assignment, so a smaller
+    prime overwrites a larger one and every composite ends on its
+    smallest."""
+    s = array("H", [0]) * limit
+    top = isqrt(limit - 1)
+    prime = bytearray([1]) * (top + 1)
+    for p in range(2, isqrt(top) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+    for p in range(top, 1, -1):
+        if prime[p]:
+            s[p * p::p] = array("H", [p]) * len(range(p * p, limit, p))
     return s
 
 
@@ -38,7 +51,7 @@ def _prime_blocks(limit: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     PRIME_BLOCK consecutive primes up to isqrt(limit), ascending."""
     top = isqrt(limit)
     sieve = smallest_factor_sieve(top + 1)
-    primes = [p for p in range(2, top + 1) if sieve[p] == p]
+    primes = [p for p in range(2, top + 1) if not sieve[p]]
     blocks = (tuple(primes[i:i + PRIME_BLOCK]) for i in range(0, len(primes), PRIME_BLOCK))
     return tuple((block[0] * block[0], prod(block), block) for block in blocks)
 
@@ -87,10 +100,11 @@ def prime_power_base(n: int) -> int | None:
 
 
 def factorize_with_sieve(n: int, sieve: array) -> dict[int, int]:
-    """Same output as factorize, using a precomputed smallest-factor sieve."""
+    """Same output as factorize, using smallest_factor_sieve(limit) for
+    some limit > n: an entry of 0 marks what is left of n as prime."""
     out: dict[int, int] = {}
     while n > 1:
-        p = sieve[n]
+        p = sieve[n] or n
         out[p] = out.get(p, 0) + 1
         n //= p
     return out

@@ -2,12 +2,12 @@
 
 Each cap is checked where the work it bounds happens, against a limit
 resolved at the check: the value of the innermost enclosing
-`with cap.limit(n):` block (the CLI enters one per call, with its
-flags), else the cap's environment variable, else its default.  A cap
-is a positive integer; a variable set to anything else is refused with
-a message naming it.  Going over a cap raises CapExceededError with one
-message format that names the cap, its limit, its environment variable
-and its CLI flag.
+`with cap.limit(n):` block (the CLI enters one for each cap flag the
+verb takes, set from that flag), else the cap's environment variable,
+else its default.  A cap is a positive integer; a variable set to
+anything else is refused with a message naming it.  Going over a cap
+raises CapExceededError with one message format that names the cap,
+its limit, its environment variable and its CLI flag.
 """
 
 from __future__ import annotations

@@ -189,9 +189,10 @@ class ScanReport(NamedTuple):
 def scan_exceptions(limit: int, odd_only: bool = False) -> ScanReport:
     """Exhaustive scan of n < limit for missing factorizations.
 
-    Every candidate with three or more squared primes goes through
-    factor_paqbc itself (fed by a sieve for speed), so the list is
-    exactly the set where it finds no witness.
+    Each n is factorized from one smallest_factor_sieve(limit), built
+    once per scan.  Every candidate with three or more squared primes
+    goes through factor_paqbc itself, so the list is exactly the set
+    where it finds no witness.
     """
     if not 2 <= limit <= FACTOR_LIMIT:
         raise ValueError(f"scan limit must lie in [2, {FACTOR_LIMIT}]")

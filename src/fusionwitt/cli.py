@@ -490,12 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      " of metric groups, and dimension classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.verbs = sub.choices  # each verb's own parser, by name
+    parser.caps = {}  # each verb's (cap, dest of its flag) pairs, by name
 
     def verb(name, help, *caps):
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        for cap in caps:
-            p.add_argument(cap.flag, type=positive_int, default=None, help=f"the {cap.name} (default {cap.default})")
+        parser.caps[name] = tuple(
+            (cap, p.add_argument(cap.flag, type=positive_int, default=None,
+                                 help=f"the {cap.name} (default {cap.default})").dest)
+            for cap in caps)
         return p
 
     p = verb("validate", "check a ring or metric group file against the axioms", ELEMENT_CAP)
@@ -519,6 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _capped(command, args, caps):
+    """command(args) inside one Cap.limit block per (cap, dest) pair, set
+    from the flag of that dest.  A verb enters only the caps it takes a
+    flag for and leaves the others to their variables and defaults."""
+    if not caps:
+        return command(args)
+    (cap, dest), *rest = caps
+    with cap.limit(getattr(args, dest)):
+        return _capped(command, args, rest)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -530,11 +544,8 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             parser.error("unrecognized arguments: " + " ".join(extra))
     command = globals()["_cmd_" + args.command.replace("-", "_")]
-    # a verb without a cap's flag leaves that cap to its variable and default
-    element, order, closure = (getattr(args, dest, None) for dest in ("element_cap", "order_cap", "closure_cap"))
     try:
-        with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure):
-            report = command(args)
+        report = _capped(command, args, parser.caps[args.command])
     except ValidationError as err:
         for v in err.violations:
             print(str(v), file=sys.stderr)

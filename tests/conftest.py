@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -129,6 +130,20 @@ def factorize_oracle(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def smallest_factor_sieve_oracle(limit: int) -> array:
+    """Array s with s[n] = smallest prime factor of n for 2 <= n < limit
+    (s[0] = 0, s[1] = 1), one entry at a time: the construction
+    arith.smallest_factor_sieve used before its slice assignments, which
+    also store 0 for a prime."""
+    s = array("i", range(limit))
+    for p in range(2, isqrt(limit - 1) + 1):
+        if s[p] == p:
+            for m in range(p * p, limit, p):
+                if s[m] == m:
+                    s[m] = p
+    return s
 
 
 def is_prime(n: int) -> bool:

@@ -1,7 +1,7 @@
 from math import isqrt
 
 import pytest
-from conftest import factorize_oracle, is_prime, is_square_free
+from conftest import factorize_oracle, is_prime, is_square_free, smallest_factor_sieve_oracle
 from hypothesis import given, strategies as st
 
 from fusionwitt import arith
@@ -92,10 +92,34 @@ def test_sieve_matches_trial_division():
         assert factorize_with_sieve(n, sieve) == factorize(n)
 
 
+def assert_sieve_matches_oracle(limit):
+    """The sieve is the oracle's, with 0 where the oracle holds n itself
+    (a prime, or 0 and 1)."""
+    want = [0 if s == n else s for n, s in enumerate(smallest_factor_sieve_oracle(limit))]
+    assert smallest_factor_sieve(limit).tolist() == want
+
+
+@given(st.integers(min_value=2, max_value=5000))
+def test_sieve_matches_the_one_entry_at_a_time_oracle(limit):
+    assert_sieve_matches_oracle(limit)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 10, 25, 26, 65536, 65537, 70000])
+def test_sieve_matches_the_oracle_at_squares_and_the_16_bit_edge(limit):
+    assert_sieve_matches_oracle(limit)
+
+
 def test_sieve_entries_are_small_and_hold_the_factor_limit():
-    sieve = smallest_factor_sieve(10)
-    assert sieve.itemsize <= 4
-    assert FACTOR_LIMIT < 2 ** (8 * sieve.itemsize - 1)
+    sieve = smallest_factor_sieve(FACTOR_LIMIT)
+    assert sieve.typecode == "H" and sieve.itemsize == 2
+    assert isqrt(FACTOR_LIMIT - 1) < 2**16
+    # 3137 is the largest prime whose square lies below 10^7
+    assert max(sieve) == sieve[3137**2] == 3137
+    # every prime below the limit reads 0, and nothing else does but 0
+    # and 1: pi(10^7) = 664579
+    assert sieve.count(0) == 664579 + 2
+    assert all(sieve[p] == 0 for p in range(2, 3163) if is_prime(p))
+    assert sieve[9999991] == sieve[4999999] == 0
 
 
 def test_divisors():

@@ -562,6 +562,28 @@ def test_a_cap_flag_does_not_outlive_its_call(capsys):
     assert "witt_order=8\n" in out
 
 
+@pytest.mark.parametrize("argv,entered", [
+    (["classify", "1764"], []),
+    (["scan", "100"], []),
+    (["analyze", "ising.fr"], []),
+    (["validate", "semion.mg"], [(ELEMENT_CAP, None)]),
+    (["witt-class", "semion.mg", "--element-cap", "64"], [(ELEMENT_CAP, 64)]),
+    (["witt-order", "semion.mg", "--order-cap", "16"], [(ORDER_CAP, 16), (ELEMENT_CAP, None)]),
+    (["witt-subgroup", "semion.mg", "semion_bar.mg"], [(CLOSURE_CAP, None), (ELEMENT_CAP, None)]),
+], ids=lambda case: " ".join(case) if case and isinstance(case[0], str) else None)
+def test_a_call_enters_only_the_caps_its_verb_takes_a_flag_for(capsys, monkeypatch, argv, entered):
+    limit, calls = type(ELEMENT_CAP).limit, []
+
+    def spy(cap, value):
+        calls.append((cap, value))
+        return limit(cap, value)
+
+    monkeypatch.setattr(type(ELEMENT_CAP), "limit", spy)
+    code, _, _ = run_cli(capsys, *(corpus.path(a) if a.endswith((".fr", ".mg")) else a for a in argv))
+    assert code == 0
+    assert calls == entered
+
+
 def test_a_cap_variable_set_after_the_parser_is_built_is_read(capsys, monkeypatch):
     cli.build_parser()
     monkeypatch.setenv("FUSIONWITT_ORDER_CAP", "4")

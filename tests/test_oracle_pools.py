@@ -9,12 +9,14 @@ its answer.  The goldens pin fixed inputs; this covers inputs no golden
 holds.
 
 The seeds were fixed before the first run and are used by nothing else:
-every Witt job of seeds 1000-1003, the rings jobs up to rank 9 and the
-classify jobs of seed 1000.  A failure is a package or an oracle defect,
-never a reason to change a seed.  classify also runs on p^2 for every
-prime p up to isqrt(FACTOR_LIMIT) and on p q for consecutive such
-primes, where a factorization that misses a prime is visible in the
-witness.
+every Witt job of seeds 1000-1003, the rings jobs up to rank 9, and the
+classify and scan jobs of seed 1000.  A failure is a package or an
+oracle defect, never a reason to change a seed.  classify also runs on
+p^2 for every prime p up to isqrt(FACTOR_LIMIT) and on p q for
+consecutive such primes, where a factorization that misses a prime is
+visible in the witness.  The scans, at limits from 10^4 to 10^6, odd
+and not, are checked against the multiples of (p q r)^2, found without
+factorizing any n.
 """
 
 from math import isqrt
@@ -67,11 +69,22 @@ def test_rings_pool_matches_the_oracle(bench, tmp_path):
     assert run_checked(bench, jobs, tmp_path / "inputs") == []
 
 
-def test_classify_matches_the_oracle(bench, tmp_path):
+@pytest.fixture(scope="module")
+def dims_jobs(bench):
+    return bench[1].make_pool("dims", DIMS_SEED)
+
+
+def test_classify_matches_the_oracle(bench, dims_jobs, tmp_path):
     workloads = bench[1]
-    jobs = [job for job in workloads.make_pool("dims", DIMS_SEED) if job.argv[0] == "classify"]
+    jobs = [job for job in dims_jobs if job.argv[0] == "classify"]
     primes = [p for p in range(isqrt(FACTOR_LIMIT) + 1) if is_prime(p)]
     edges = [p * p for p in primes] + [p * q for p, q in zip(primes, primes[1:])]
     jobs += [workloads.Job(argv=["classify", "--format", "machine", str(n)], expect=workloads.classify_expectation(n))
              for n in edges]
+    assert run_checked(bench, jobs, tmp_path / "inputs") == []
+
+
+def test_scan_matches_the_oracle(bench, dims_jobs, tmp_path):
+    jobs = [job for job in dims_jobs if job.argv[0] == "scan"]
+    assert len(jobs) == len(bench[1].SCAN_SLOTS)
     assert run_checked(bench, jobs, tmp_path / "inputs") == []
