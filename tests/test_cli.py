@@ -37,6 +37,8 @@ NILPOTENT_Z3 = ("rank 3\nlabels 1 g1 g2\ndual 0 2 1\nN 0 0 0 1\nN 0 1 1 1\nN 0 2
 # dimensions 1 + 1 and 3: g is invertible, x x = 1 + g, and x g = 2 x
 UNEQUAL_GRADING = ("rank 3\nlabels 1 g x\ndual 0 1 2\nN 0 0 0 1\nN 0 1 1 1\nN 0 2 2 1\nN 1 0 1 1\nN 1 1 0 1\n"
                    "N 1 2 2 1\nN 2 0 2 1\nN 2 1 2 2\nN 2 2 0 1\nN 2 2 1 1\n")
+# Z2 with q = 1/3, which breaks the congruence 2 d q in Z at d = 2
+BROKEN_CONGRUENCE = "orders 2\nq 1/3\n"
 
 
 def write(tmp_path, name, text):
@@ -335,7 +337,10 @@ def test_analyze_takes_no_element_cap(capsys):
 # containing eps (associativity fails, forced analysis completes); the
 # z3 ring whose g1 has a nilpotent left matrix; and a ring whose grading
 # components have unequal dimensions (re-recorded once analyze checked
-# that they agree: it now stops there)
+# that they agree: it now stops there).  validate pins the violation
+# listing of the broken z2 ring and of Ising with eps x eps containing
+# eps, associativity included; validate and witt-class pin the failure
+# of a form that breaks its congruence.
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 
 
@@ -344,6 +349,7 @@ def test_analyze_invalid_ring_output_is_pinned(tmp_path, monkeypatch, capsys, ca
     write(tmp_path, "broken_z2.fr", BROKEN_Z2)
     write(tmp_path, "z3_nilpotent.fr", NILPOTENT_Z3)
     write(tmp_path, "unequal_grading.fr", UNEQUAL_GRADING)
+    write(tmp_path, "broken_congruence.mg", BROKEN_CONGRUENCE)
     with open(corpus.path("ising.fr"), encoding="utf-8") as fh:
         write(tmp_path, "ising_assoc.fr", fh.read() + "N 1 1 1 1\n")
     monkeypatch.chdir(tmp_path)

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_cli import BROKEN_Z2, NILPOTENT_Z3, UNEQUAL_GRADING
+from test_cli import BROKEN_CONGRUENCE, BROKEN_Z2, NILPOTENT_Z3, UNEQUAL_GRADING
 from test_golden import CORPUS_DIR
 
 import fusionwitt
@@ -54,7 +54,6 @@ ALLOWLIST = {
     "corpus.names": README_API,
     "corpus.path": README_API,
     # the CLI's exit 1 for a metric file that breaks a congruence
-    "errors.ValidationError.__init__": ERROR_PATH,
     # the benchmark's tracer wraps it; it moves under tests/ once the
     # tracer reads package spans instead
     "fpdim.charpoly": LEAVES_WITH_ITEM_7,
@@ -126,7 +125,7 @@ def golden_runs(tmp_path) -> list[tuple[str, list[str]]]:
     invalid = tmp_path / "invalid"
     invalid.mkdir()
     for name, text in (("broken_z2.fr", BROKEN_Z2), ("z3_nilpotent.fr", NILPOTENT_Z3),
-                       ("unequal_grading.fr", UNEQUAL_GRADING)):
+                       ("unequal_grading.fr", UNEQUAL_GRADING), ("broken_congruence.mg", BROKEN_CONGRUENCE)):
         (invalid / name).write_text(text, encoding="utf-8")
     with open(corpus.path("ising.fr"), encoding="utf-8") as fh:
         (invalid / "ising_assoc.fr").write_text(fh.read() + "N 1 1 1 1\n", encoding="utf-8")
