@@ -3,7 +3,9 @@ structure maps that only need the integer coefficients.
 
 A fusion ring of rank r has basis X_0..X_{r-1} with X_0 the unit, a
 dual involution *, and products X_i X_j = sum_k N[i][j][k] X_k with
-nonnegative integer coefficients.  Everything in this module is exact;
+nonnegative integer coefficients, read as ring.coeff[i][j][k] with no
+accessor method: a method call per coefficient dominated the O(r^5)
+associativity check.  Everything in this module is exact;
 Frobenius-Perron data lives in fpdim.py.
 """
 
@@ -31,9 +33,6 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def n(self, i: int, j: int, k: int) -> int:
-        return self.coeff[i][j][k]
 
     def left_matrix(self, i: int) -> list[list[int]]:
         """Row j, column k holds N[i][j][k]; spectrum is that of left
@@ -70,30 +69,30 @@ def validate_ring(ring: FusionRing) -> list[Violation]:
     if out:
         return out
 
-    n, dual = ring.n, ring.dual
+    N, dual = ring.coeff, ring.dual
     for i in range(r):
         if dual[dual[i]] != i:
             out.append(Violation("duality", (i,), "dual is not an involution"))
     if dual[0] != 0:
         out.append(Violation("duality", (0,), "unit must be self-dual"))
     for i, j in product(range(r), repeat=2):
-        if n(0, i, j) != int(i == j):
-            out.append(Violation("unit", (0, i, j), f"N[0][{i}][{j}] = {n(0, i, j)}, expected {int(i == j)}"))
-        if n(i, 0, j) != int(i == j):
-            out.append(Violation("unit", (i, 0, j), f"N[{i}][0][{j}] = {n(i, 0, j)}, expected {int(i == j)}"))
+        if N[0][i][j] != int(i == j):
+            out.append(Violation("unit", (0, i, j), f"N[0][{i}][{j}] = {N[0][i][j]}, expected {int(i == j)}"))
+        if N[i][0][j] != int(i == j):
+            out.append(Violation("unit", (i, 0, j), f"N[{i}][0][{j}] = {N[i][0][j]}, expected {int(i == j)}"))
         want = int(j == dual[i])
-        if n(i, j, 0) != want:
-            out.append(Violation("rigidity", (i, j), f"N[{i}][{j}][0] = {n(i, j, 0)}, expected {want}"))
+        if N[i][j][0] != want:
+            out.append(Violation("rigidity", (i, j), f"N[{i}][{j}][0] = {N[i][j][0]}, expected {want}"))
     for i, j, k in product(range(r), repeat=3):
-        if n(i, j, k) != n(j, i, k):
+        if N[i][j][k] != N[j][i][k]:
             out.append(Violation("commutativity", (i, j, k), f"N[{i}][{j}][{k}] != N[{j}][{i}][{k}]"))
-        if n(i, j, k) != n(dual[i], k, j):
+        if N[i][j][k] != N[dual[i]][k][j]:
             out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{dual[i]}][{k}][{j}]"))
-        if n(i, j, k) != n(k, dual[j], i):
+        if N[i][j][k] != N[k][dual[j]][i]:
             out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{k}][{dual[j]}][{i}]"))
     for i, j, k, l in product(range(r), repeat=4):
-        left = sum(n(i, j, m) * n(m, k, l) for m in range(r))
-        right = sum(n(j, k, m) * n(i, m, l) for m in range(r))
+        left = sum(N[i][j][m] * N[m][k][l] for m in range(r))
+        right = sum(N[j][k][m] * N[i][m][l] for m in range(r))
         if left != right:
             out.append(Violation("associativity", (i, j, k, l), f"(X{i} X{j}) X{k} vs X{i} (X{j} X{k}) differ at X{l}"))
     return out
@@ -136,7 +135,7 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
     members = tuple(
         i
         for i in range(ring.rank)
-        if ring.n(i, ring.dual[i], 0) == 1
+        if ring.coeff[i][ring.dual[i]][0] == 1
         and sum(ring.coeff[i][ring.dual[i]]) == 1
     )
     if 0 not in members:
@@ -146,7 +145,7 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
         row = []
         for h in members:
             cs = ring.constituents(g, h)
-            if len(cs) != 1 or ring.n(g, h, cs[0]) != 1 or cs[0] not in members:
+            if len(cs) != 1 or ring.coeff[g][h][cs[0]] != 1 or cs[0] not in members:
                 raise ConsistencyError(f"product of invertibles {g}, {h} is not invertible")
             row.append(cs[0])
         table.append(tuple(row))
@@ -156,7 +155,7 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
 def stabilizer(ring: FusionRing, x: int, inv: InvertibleGroup | None = None) -> tuple[int, ...]:
     """Subgroup of invertibles g with g X = X."""
     inv = inv if inv is not None else invertibles(ring)
-    members = tuple(g for g in inv.members if ring.n(g, x, x) == 1)
+    members = tuple(g for g in inv.members if ring.coeff[g][x][x] == 1)
     for g, h in product(members, repeat=2):
         if inv.multiply(g, h) not in members:
             raise ConsistencyError(f"stabilizer of {x} is not closed under the product")

@@ -8,7 +8,7 @@ import pytest
 
 from fusionwitt import cli, corpus
 from fusionwitt.arith import factorize
-from fusionwitt.errors import ValidationError
+from fusionwitt.errors import ValidationError, Violation
 from fusionwitt.fusion_ring import FusionRing, validate_ring
 from fusionwitt.metric_group import metric_group
 from fusionwitt.witt import isotropic_elements, reduce_once
@@ -52,6 +52,76 @@ def pointed_ring(orders: tuple[int, ...]) -> FusionRing:
             coeff[index[x]][index[y]][index[add(x, y)]] = 1
     labels = ["1" if not any(e) else "g" + "".join(str(a) for a in e) for e in elements]
     return make_ring(labels, [index[neg(e)] for e in elements], coeff)
+
+
+def tensor_ring(a: FusionRing, b: FusionRing) -> FusionRing:
+    """The tensor product ring, unvalidated: basis pairs (i, j) at index
+    i * b.rank + j, labels joined by a dot, N[(i,j)][(k,l)][(m,n)] =
+    N_a[i][k][m] N_b[j][l][n]."""
+    pairs = list(product(range(a.rank), range(b.rank)))
+    return FusionRing(
+        labels=tuple(f"{a.labels[i]}.{b.labels[j]}" for i, j in pairs),
+        dual=tuple(a.dual[i] * b.rank + b.dual[j] for i, j in pairs),
+        coeff=tuple(
+            tuple(tuple(a.coeff[i][k][m] * b.coeff[j][l][n] for m, n in pairs) for k, l in pairs)
+            for i, j in pairs
+        ),
+    )
+
+
+def validate_ring_oracle(ring: FusionRing) -> list[Violation]:
+    """Every broken axiom of ring, in the order fusion_ring.validate_ring
+    reports them, reading each coefficient through a call: the check as it
+    stood when FusionRing had a coefficient method n(i, j, k)."""
+    out: list[Violation] = []
+    r = ring.rank
+    if r < 1:
+        return [Violation("shape", (), "rank must be at least 1")]
+    if len(ring.dual) != r:
+        return [Violation("shape", (), f"dual has length {len(ring.dual)}, expected {r}")]
+    if sorted(ring.dual) != list(range(r)):
+        return [Violation("duality", (), "dual is not a permutation of the basis")]
+    if len(ring.coeff) != r or any(
+        len(plane) != r or any(len(row) != r for row in plane) for plane in ring.coeff
+    ):
+        return [Violation("shape", (), f"coefficient table is not {r}x{r}x{r}")]
+    for i, j, k in product(range(r), repeat=3):
+        v = ring.coeff[i][j][k]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            out.append(Violation("integrality", (i, j, k), f"coefficient {v!r} is not a nonnegative integer"))
+    if out:
+        return out
+
+    def n(i, j, k):
+        return ring.coeff[i][j][k]
+
+    dual = ring.dual
+    for i in range(r):
+        if dual[dual[i]] != i:
+            out.append(Violation("duality", (i,), "dual is not an involution"))
+    if dual[0] != 0:
+        out.append(Violation("duality", (0,), "unit must be self-dual"))
+    for i, j in product(range(r), repeat=2):
+        if n(0, i, j) != int(i == j):
+            out.append(Violation("unit", (0, i, j), f"N[0][{i}][{j}] = {n(0, i, j)}, expected {int(i == j)}"))
+        if n(i, 0, j) != int(i == j):
+            out.append(Violation("unit", (i, 0, j), f"N[{i}][0][{j}] = {n(i, 0, j)}, expected {int(i == j)}"))
+        want = int(j == dual[i])
+        if n(i, j, 0) != want:
+            out.append(Violation("rigidity", (i, j), f"N[{i}][{j}][0] = {n(i, j, 0)}, expected {want}"))
+    for i, j, k in product(range(r), repeat=3):
+        if n(i, j, k) != n(j, i, k):
+            out.append(Violation("commutativity", (i, j, k), f"N[{i}][{j}][{k}] != N[{j}][{i}][{k}]"))
+        if n(i, j, k) != n(dual[i], k, j):
+            out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{dual[i]}][{k}][{j}]"))
+        if n(i, j, k) != n(k, dual[j], i):
+            out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{k}][{dual[j]}][{i}]"))
+    for i, j, k, l in product(range(r), repeat=4):
+        left = sum(n(i, j, m) * n(m, k, l) for m in range(r))
+        right = sum(n(j, k, m) * n(i, m, l) for m in range(r))
+        if left != right:
+            out.append(Violation("associativity", (i, j, k, l), f"(X{i} X{j}) X{k} vs X{i} (X{j} X{k}) differ at X{l}"))
+    return out
 
 
 def group_add(orders, x, y) -> tuple[int, ...]:

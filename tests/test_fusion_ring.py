@@ -1,7 +1,9 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_ring, pointed_ring
+from conftest import load_ring, make_ring, pointed_ring, tensor_ring, validate_ring_oracle
 from fusionwitt import cli, corpus, fusion_ring
 from fusionwitt.errors import ConsistencyError, ValidationError
 from fusionwitt.fusion_ring import (
@@ -104,6 +106,83 @@ def test_ising_without_eps_constituent(ising_ring):
 
 def test_doubled_multiplicity(ising_ring):
     assert violation_kinds(mutate(ising_ring, 2, 2, 1, 2)) == ["associativity", "frobenius"]
+
+
+# the rings the oracle comparison draws from: pointed rings, the corpus
+# rings and the products of two of them, up to a rank that keeps the
+# O(r^5) oracle quick
+ORACLE_RANK = 9
+CORPUS_RINGS = [load_ring(name) for name in corpus.names(".fr")]
+PRODUCT_RINGS = [
+    tensor_ring(a, b)
+    for a, b in combinations_with_replacement(CORPUS_RINGS, 2)
+    if a.rank > 1 and b.rank > 1 and a.rank * b.rank <= ORACLE_RANK
+]
+
+
+def permuted(ring, order):
+    """ring with basis element t the old element order[t]; order[0] = 0."""
+    new = {old: t for t, old in enumerate(order)}
+    return as_ring(
+        [ring.labels[i] for i in order],
+        [new[ring.dual[i]] for i in order],
+        [[[ring.coeff[i][j][k] for k in order] for j in order] for i in order],
+    )
+
+
+@st.composite
+def oracle_rings(draw):
+    """A drawn ring with its non-unit basis permuted, and maybe one
+    coefficient raised by 1 or one positive coefficient lowered by 1."""
+    ring = draw(st.one_of(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2).map(lambda o: pointed_ring(tuple(o))),
+        st.sampled_from(CORPUS_RINGS + PRODUCT_RINGS),
+    ))
+    r = ring.rank
+    ring = permuted(ring, [0] + draw(st.permutations(range(1, r))))
+    index = st.integers(min_value=0, max_value=r - 1)
+    edit = draw(st.sampled_from(("none", "raise", "lower")))
+    if edit == "raise":
+        i, j, k = draw(st.tuples(index, index, index))
+        ring = mutate(ring, i, j, k, ring.coeff[i][j][k] + 1)
+    elif edit == "lower":
+        positive = [(i, j, k) for i in range(r) for j in range(r) for k in range(r) if ring.coeff[i][j][k] > 0]
+        i, j, k = draw(st.sampled_from(positive))
+        ring = mutate(ring, i, j, k, ring.coeff[i][j][k] - 1)
+    return ring
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_rings())
+def test_validate_ring_matches_the_oracle(ring):
+    assert validate_ring(ring) == validate_ring_oracle(ring)
+
+
+ISING = load_ring("ising.fr")
+Z4 = pointed_ring((4,))
+# one broken axiom each, so the oracle comparison never depends on a draw
+# to reach it
+BROKEN = {
+    "unit": mutate(ISING, 0, 1, 1, 0),
+    "rigidity": mutate(ISING, 2, 2, 0, 0),
+    "commutativity": mutate(ISING, 1, 2, 2, 2),
+    "frobenius": mutate(ISING, 2, 2, 1, 0),
+    "associativity": mutate(ISING, 1, 1, 1, 1),
+    "duality": as_ring(Z4.labels, (0, 2, 3, 1), Z4.coeff),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN))
+def test_validate_ring_matches_the_oracle_on_each_broken_axiom(kind):
+    violations = validate_ring(BROKEN[kind])
+    assert kind in {v.kind for v in violations}
+    assert violations == validate_ring_oracle(BROKEN[kind])
+
+
+def test_tensor_products_of_valid_rings_validate():
+    assert PRODUCT_RINGS
+    for ring in PRODUCT_RINGS:
+        assert validate_ring(ring) == []
 
 
 @settings(max_examples=30, deadline=None)
