@@ -140,10 +140,9 @@ def oracle_rings(draw):
     ))
     r = ring.rank
     ring = permuted(ring, [0] + draw(st.permutations(range(1, r))))
-    index = st.integers(min_value=0, max_value=r - 1)
     edit = draw(st.sampled_from(("none", "raise", "lower")))
     if edit == "raise":
-        i, j, k = draw(st.tuples(index, index, index))
+        i, j, k = draw(st.tuples(*[st.integers(min_value=0, max_value=r - 1)] * 3))
         ring = mutate(ring, i, j, k, ring.coeff[i][j][k] + 1)
     elif edit == "lower":
         positive = [(i, j, k) for i in range(r) for j in range(r) for k in range(r) if ring.coeff[i][j][k] > 0]
