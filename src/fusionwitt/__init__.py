@@ -5,8 +5,9 @@ The three layers:
 
 * ``fusion_ring`` / ``fpdim``: commutative fusion rings checked
   against the axioms by validate_ring, Frobenius-Perron dimensions
-  certified by an integer Bareiss determinant per simple, invertibles,
-  universal grading, nilpotency.
+  proved by one integer check of the product rule on the subring the
+  candidate squares generate, invertibles, universal grading,
+  nilpotency.
 * ``metric_group`` / ``witt``: finite abelian groups with nondegenerate
   quadratic forms, exact cyclotomic Gauss sums, anisotropic reduction,
   pointed Witt classes and the subgroups they generate, words with an

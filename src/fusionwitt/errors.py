@@ -37,8 +37,11 @@ class ConvergenceError(FusionWittError):
 
 
 class CertificationError(FusionWittError):
-    """Numeric value looks integral but the exact certificate fails,
-    which signals that the tolerance is too loose to trust."""
+    """A dimension certificate fails or is missing.  Either the squared
+    dimensions that the float estimates suggest fail the exact check (a
+    simple in the subring they generate has none, or two of them break
+    a product rule), or a test that needs every dimension certified
+    meets one without."""
 
 
 class CapExceededError(FusionWittError):

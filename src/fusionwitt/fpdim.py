@@ -1,22 +1,24 @@
 """Frobenius-Perron dimensions with exact integrality certificates.
 
-The numeric side is plain power iteration; the certified side is one
-Bareiss determinant in exact integer arithmetic per simple.  The
-determinant proves exactly that sqrt(s) is an eigenvalue of the simple's
-left multiplication matrix L.  That it is the largest eigenvalue, so
-that (dim X)**2 = s, rests on the float Perron value and its
-Collatz-Wielandt bracket: a float comparison, not yet a proof.
+Power iteration estimates each dimension d_i in floats, and a simple
+whose d_i**2 lies within the tolerance of an integer s_i >= 1 gets s_i
+as its candidate.  One integer check on the ring's own coefficients
+then proves every candidate at once (certify_squares), or raises.  A
+certified square is a proof that (FPdim X_i)**2 = s_i: only dims and
+total are floats.  That a simple has no candidate still rests on the
+float window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import inf, isqrt
 from operator import mul
 
 from .arith import prime_power_base
-from .errors import CertificationError, ConsistencyError, ConvergenceError
-from .fusion_ring import FusionRing
+from .errors import CertificationError, ConvergenceError
+from .fusion_ring import FusionRing, subring_generated
 
 # the corpus rings, the benchmark's ring realizations and the pointed
 # Z_20, Z_24 and Z_30 rings converge within 5 steps per row (29 at most,
@@ -92,63 +94,15 @@ def perron_root(matrix: list[list[int]], tolerance: float) -> float:
     raise ConvergenceError(f"power iteration did not converge in {budget} steps")
 
 
-def bareiss_det(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix, exact, by Bareiss fraction-free
-    elimination (Math. Comp. 22, 1968).
-
-    After step k every entry left is a minor of order k + 2 of the
-    row-swapped matrix, so each division by the previous pivot is exact
-    over the integers, which the remainder check enforces.
-    """
-    a = [list(row) for row in matrix]
-    r = len(a)
-    sign, prev = 1, 1
-    for k in range(r):
-        swap = next((i for i in range(k, r) if a[i][k]), None)
-        if swap is None:
-            return 0
-        if swap != k:
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top = a[k]
-        pivot = top[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, r):
-                row[j], rem = divmod(pivot * row[j] - f * top[j], prev)
-                if rem:
-                    raise ConsistencyError("Bareiss elimination left a nonzero remainder")
-        prev = pivot
-    return sign * prev
-
-
-def sqrt_is_eigenvalue(matrix: list[list[int]], s: int) -> bool:
-    """Is sqrt(s) an eigenvalue of the integer matrix, for s >= 1?
-
-    Perfect square s = t**2: iff det(M - t I) = 0.  Otherwise x**2 - s
-    is irreducible, so sqrt(s) and -sqrt(s) are eigenvalues together,
-    and either is one iff det(M**2 - s I) = 0.
-    """
-    t = isqrt(s)
-    if t * t == s:
-        shifted = [[x - t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
-    else:
-        cols = list(zip(*matrix))
-        shifted = [
-            [sum(map(mul, row, col)) - s * (i == j) for j, col in enumerate(cols)]
-            for i, row in enumerate(matrix)
-        ]
-    return bareiss_det(shifted) == 0
-
-
 def charpoly(matrix: list[list[int]]) -> list[int]:
     """Characteristic polynomial of an integer matrix, exact, ascending
     coefficients, monic of degree r.
 
-    No package code calls it: it is the tests' independent oracle for
-    sqrt_is_eigenvalue, kept here because the benchmark's tracer looks
-    it up by this name.  Faddeev-LeVerrier recurrence: every division
-    by k is exact over the integers, which the remainder check enforces.
+    No package code calls it: the tests check sqrt_is_eigenvalue_oracle
+    in tests/conftest.py against it, and it stays here because the
+    benchmark's tracer looks it up by this name.  Faddeev-LeVerrier
+    recurrence: every division by k is exact over the integers, which
+    the remainder check enforces.
     """
     r = len(matrix)
     coeffs = [0] * r + [1]  # fill c_{r-1} .. c_0 below
@@ -172,10 +126,10 @@ def charpoly(matrix: list[list[int]]) -> list[int]:
 class FPDimData:
     """Numeric dimensions plus their exact certificates.
 
-    exact_square[i] = s means sqrt(s) is proved an eigenvalue of the left
-    matrix of X_i, and s is the rounded square of its Perron value dims[i];
-    None means no integer certificate exists at fp_dim_data's tolerance.
-    total carries float error up to rank * tolerance * (2 max dim + 1).
+    exact_square[i] = s is proved: sqrt(s) is the Frobenius-Perron
+    dimension of X_i.  None means dims[i]**2 is not within
+    fp_dim_data's tolerance of an integer, a float verdict.  total
+    carries float error up to rank * tolerance * (2 max dim + 1).
     """
 
     dims: tuple[float, ...]
@@ -186,37 +140,55 @@ class FPDimData:
     weakly_integral: bool
 
 
+def certify_squares(ring: FusionRing, squares: dict[int, int]) -> None:
+    """Prove FPdim X_i = sqrt(squares[i]) for every key i, or raise
+    CertificationError naming the simples that refute it.
+
+    Every member of the subring S that the keys generate needs a square.
+    For i, j in S and t = s_i s_j, the product rule d_i d_j = sum_k
+    N_ij^k d_k for d = sqrt(s), times sqrt(t), reads t = sum_k N_ij^k
+    sqrt(s_k t).  Square roots of distinct squarefree integers are
+    linearly independent over Q, so it holds exactly when every s_k t
+    is a perfect square and the integer sum is t.  Then d is a character
+    of S positive on its basis, and that character is unique: it is
+    FPdim restricted to S (Etingof-Nikshych-Ostrik, On fusion
+    categories, arXiv:math/0203060).
+    """
+    labels = ring.labels
+    members = subring_generated(ring, squares)
+    for k in members:
+        if k not in squares:
+            raise CertificationError(
+                f"{labels[k]} has no integral dim^2, yet lies in the subring generated by the simples that have one"
+            )
+    for i, j in product(members, repeat=2):
+        t = squares[i] * squares[j]
+        terms = [(ring.coeff[i][j][k], squares[k] * t) for k in ring.constituents(i, j)]
+        if any(isqrt(p) ** 2 != p for _, p in terms) or sum(n * isqrt(p) for n, p in terms) != t:
+            raise CertificationError(
+                f"candidate dims sqrt({squares[i]}) of {labels[i]} and sqrt({squares[j]}) of {labels[j]}:"
+                f" their product differs from the dimension of {labels[i]} {labels[j]}"
+            )
+
+
 def fp_dim_data(ring: FusionRing, tolerance: float = 1e-12) -> FPDimData:
     if not 0 < tolerance <= 1e-6:
         raise ValueError(f"tolerance {tolerance} outside the supported range (0, 1e-6]")
-    dims: list[float] = []
-    squares: list[int | None] = []
-    integral = True
-    for i in range(ring.rank):
-        mat = ring.left_matrix(i)
-        d = perron_root(mat, tolerance)
-        dims.append(d)
+    dims = tuple(perron_root(ring.left_matrix(i), tolerance) for i in range(ring.rank))
+    candidates = {}
+    for i, d in enumerate(dims):
         s = round(d * d)
-        cert: int | None = None
         if s >= 1 and abs(d * d - s) <= max(tolerance, 4.0 * abs(d) * tolerance):
-            if sqrt_is_eigenvalue(mat, s):
-                cert = s
-            elif abs(d - s**0.5) <= tolerance:
-                raise CertificationError(
-                    f"dim of X_{i} is numerically near sqrt({s}) but the exact root check fails"
-                )
-        squares.append(cert)
-        t = isqrt(s) if cert is not None else 0
-        if cert is None or t * t != cert:
-            integral = False
-    total = sum(d * d for d in dims)
-    total_exact = sum(squares) if all(s is not None for s in squares) else None
+            candidates[i] = s
+    certify_squares(ring, candidates)
+    squares = tuple(candidates.get(i) for i in range(ring.rank))
+    total_exact = sum(squares) if len(candidates) == ring.rank else None
     return FPDimData(
-        dims=tuple(dims),
-        exact_square=tuple(squares),
-        total=total,
+        dims=dims,
+        exact_square=squares,
+        total=sum(d * d for d in dims),
         total_exact=total_exact,
-        integral=integral,
+        integral=total_exact is not None and all(isqrt(s) ** 2 == s for s in squares),
         weakly_integral=total_exact is not None,
     )
 

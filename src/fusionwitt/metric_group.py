@@ -151,7 +151,8 @@ def _violations(orders, level: int = 1, gram=()) -> list[Violation]:
         v = row[i] // 2
         if 2 * d * v % level:
             out.append(Violation("congruence", (i,), f"2 * {d} * q({i}) = {Fraction(2 * d * v, level)} is not an integer"))
-        if d * d * v % level:
+        # for even d, d^2 q = (d / 2)(2 d q) follows from the line above
+        if d % 2 and d * d * v % level:
             out.append(Violation("congruence", (i,), f"{d}^2 * q({i}) = {Fraction(d * d * v, level)} is not an integer"))
     for i, row in enumerate(gram):
         for j in range(i + 1, len(gram)):
@@ -164,9 +165,9 @@ def _violations(orders, level: int = 1, gram=()) -> list[Violation]:
 def validate_metric(orders, diag, cross=()) -> list[Violation]:
     """Report every violated well-definedness condition.
 
-    Checks: invariant-factor chain, congruences 2 d_i q_i in Z and
-    d_i**2 q_i in Z, and gcd(d_i, d_j) b_ij in Z.  Degeneracy is not a
-    violation; it is recorded on the constructed object instead.
+    Checks: invariant-factor chain, congruences 2 d_i q_i in Z and, for
+    odd d_i, d_i**2 q_i in Z, and gcd(d_i, d_j) b_ij in Z.  Degeneracy
+    is not a violation; it is recorded on the constructed object instead.
     """
     try:
         return _violations(*_integer_data(orders, diag, cross))

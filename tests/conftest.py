@@ -8,7 +8,7 @@ import pytest
 
 from fusionwitt import cli, corpus
 from fusionwitt.arith import factorize
-from fusionwitt.errors import ValidationError, Violation
+from fusionwitt.errors import ConsistencyError, ValidationError, Violation
 from fusionwitt.fusion_ring import FusionRing, validate_ring
 from fusionwitt.metric_group import metric_group
 from fusionwitt.witt import isotropic_elements, reduce_once
@@ -25,15 +25,37 @@ def load_metric(name):
 
 def make_ring(labels, dual, coeff) -> FusionRing:
     """Build and validate; raises ValidationError on any broken axiom."""
-    ring = FusionRing(
-        labels=tuple(labels),
-        dual=tuple(dual),
-        coeff=tuple(tuple(tuple(row) for row in plane) for plane in coeff),
-    )
+    ring = as_ring(labels, dual, coeff)
     violations = validate_ring(ring)
     if violations:
         raise ValidationError(violations)
     return ring
+
+
+def as_ring(labels, dual, coeff) -> FusionRing:
+    """Build without validating."""
+    return FusionRing(
+        labels=tuple(labels),
+        dual=tuple(dual),
+        coeff=tuple(tuple(tuple(row) for row in plane) for plane in coeff),
+    )
+
+
+def mutate(ring: FusionRing, i: int, j: int, k: int, value: int) -> FusionRing:
+    """ring with N[i][j][k] set to value, unvalidated."""
+    coeff = [[list(row) for row in plane] for plane in ring.coeff]
+    coeff[i][j][k] = value
+    return as_ring(ring.labels, ring.dual, coeff)
+
+
+def permuted(ring: FusionRing, order) -> FusionRing:
+    """ring with basis element t the old element order[t]; order[0] = 0."""
+    new = {old: t for t, old in enumerate(order)}
+    return as_ring(
+        [ring.labels[i] for i in order],
+        [new[ring.dual[i]] for i in order],
+        [[[ring.coeff[i][j][k] for k in order] for j in order] for i in order],
+    )
 
 
 def pointed_ring(orders: tuple[int, ...]) -> FusionRing:
@@ -214,6 +236,56 @@ def smallest_factor_sieve_oracle(limit: int) -> array:
                 if s[m] == m:
                     s[m] = p
     return s
+
+
+def bareiss_det_oracle(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix, exact, by Bareiss fraction-free
+    elimination (Math. Comp. 22, 1968).
+
+    After step k every entry left is a minor of order k + 2 of the
+    row-swapped matrix, so each division by the previous pivot is exact
+    over the integers, which the remainder check enforces.
+    """
+    a = [list(row) for row in matrix]
+    r = len(a)
+    sign, prev = 1, 1
+    for k in range(r):
+        swap = next((i for i in range(k, r) if a[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, r):
+                row[j], rem = divmod(pivot * row[j] - f * top[j], prev)
+                if rem:
+                    raise ConsistencyError("Bareiss elimination left a nonzero remainder")
+        prev = pivot
+    return sign * prev
+
+
+def sqrt_is_eigenvalue_oracle(matrix: list[list[int]], s: int) -> bool:
+    """Is sqrt(s) an eigenvalue of the integer matrix, for s >= 1?  The
+    per-simple certificate fpdim.fp_dim_data used before its subring check.
+
+    Perfect square s = t**2: iff det(M - t I) = 0.  Otherwise x**2 - s
+    is irreducible, so sqrt(s) and -sqrt(s) are eigenvalues together,
+    and either is one iff det(M**2 - s I) = 0.
+    """
+    t = isqrt(s)
+    if t * t == s:
+        shifted = [[x - t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+    else:
+        cols = list(zip(*matrix))
+        shifted = [
+            [sum(map(mul, row, col)) - s * (i == j) for j, col in enumerate(cols)]
+            for i, row in enumerate(matrix)
+        ]
+    return bareiss_det_oracle(shifted) == 0
 
 
 def is_prime(n: int) -> bool:

@@ -33,8 +33,9 @@ BROKEN_Z2 = "rank 2\nlabels 1 g\ndual 0 1\nN 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\n"
 # nilpotent Jordan block [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
 NILPOTENT_Z3 = ("rank 3\nlabels 1 g1 g2\ndual 0 2 1\nN 0 0 0 1\nN 0 1 1 1\nN 0 2 2 1\nN 1 0 1 1\nN 1 1 2 1\n"
                 "N 2 0 2 1\nN 2 1 0 1\nN 2 2 1 1\n")
-# a Z2-graded ring whose components {1, g} and {x} have certified
-# dimensions 1 + 1 and 3: g is invertible, x x = 1 + g, and x g = 2 x
+# a Z2-graded ring whose components {1, g} and {x} have candidate
+# dimensions 1 + 1 and 3: g is invertible, x x = 1 + g, and x g = 2 x,
+# so the subring check refutes the candidates
 UNEQUAL_GRADING = ("rank 3\nlabels 1 g x\ndual 0 1 2\nN 0 0 0 1\nN 0 1 1 1\nN 0 2 2 1\nN 1 0 1 1\nN 1 1 0 1\n"
                    "N 1 2 2 1\nN 2 0 2 1\nN 2 1 2 2\nN 2 2 0 1\nN 2 2 1 1\n")
 # Z2 with q = 1/3, which breaks the congruence 2 d q in Z at d = 2
@@ -300,10 +301,19 @@ def test_forced_analyze_stops_on_a_table_that_is_no_group(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_forced_analyze_stops_where_grading_components_differ_in_dimension(tmp_path, capsys, fmt):
-    # every simple is certified, so the ring is weakly integral, yet its
-    # grading components {1, g} and {x} have dimensions 2 and 3
+def test_forced_analyze_stops_where_grading_components_differ_in_dimension(tmp_path, monkeypatch, capsys, fmt):
     path = write(tmp_path, "unequal_grading.fr", UNEQUAL_GRADING)
+    # the subring check refutes the candidate squares (1, 1, 3), since x g = 2 x
+    code, out, err = run_cli(capsys, "analyze", "--force", "--format", fmt, path)
+    assert code == 1
+    assert_reports_forced_violations(out, fmt, path)
+    assert err == "candidate dims sqrt(3) of x and sqrt(1) of g: their product differs from the dimension of x g\n"
+    # the per-simple Bareiss certificate accepted all three squares, so
+    # the ring passed as weakly integral, yet its grading components
+    # {1, g} and {x} have dimensions 2 and 3: the guard stops there
+    bareiss = fpdim.FPDimData(dims=(1.0, 1.0, 3**0.5), exact_square=(1, 1, 3), total=5.0, total_exact=5,
+                              integral=False, weakly_integral=True)
+    monkeypatch.setattr(fpdim, "fp_dim_data", lambda ring, tolerance: bareiss)
     code, out, err = run_cli(capsys, "analyze", "--force", "--format", fmt, path)
     assert code == 1
     assert_reports_forced_violations(out, fmt, path)
@@ -334,13 +344,18 @@ def test_analyze_takes_no_element_cap(capsys):
 # forced analysis fails in the power iteration, re-recorded once its
 # report kept the violations forced past and again once the iteration's
 # step budget was scaled to the rank) and Ising with eps x eps
-# containing eps (associativity fails, forced analysis completes); the
+# containing eps (associativity fails); the
 # z3 ring whose g1 has a nilpotent left matrix; and a ring whose grading
 # components have unequal dimensions (re-recorded once analyze checked
-# that they agree: it now stops there).  validate pins the violation
+# that they agree, and again once dimensions were certified by the
+# subring check, which refutes its candidates before the grading guard
+# runs).  The forced Ising entries were re-recorded then too: sigma
+# sigma reaches eps, whose dimension is the golden ratio, so sigma is no
+# longer certified and the run exits 1.  validate pins the violation
 # listing of the broken z2 ring and of Ising with eps x eps containing
 # eps, associativity included; validate and witt-class pin the failure
-# of a form that breaks its congruence.
+# of a form that breaks its congruence, listed once since the congruence
+# d^2 q in Z is checked for odd d only.
 GOLDEN_INVALID = json.loads(Path(__file__).with_name("golden_invalid.json").read_text(encoding="utf-8"))
 
 

@@ -1,24 +1,27 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pointed_ring
+from conftest import (
+    as_ring,
+    bareiss_det_oracle,
+    load_ring,
+    mutate,
+    permuted,
+    pointed_ring,
+    sqrt_is_eigenvalue_oracle,
+    tensor_ring,
+)
 from fusionwitt import cli, corpus, fpdim
 from fusionwitt.errors import CertificationError, ConvergenceError
-from fusionwitt.fpdim import (
-    FPDimData,
-    bareiss_det,
-    charpoly,
-    fp_dim_data,
-    perron_root,
-    simple_dims_prime_power,
-    sqrt_is_eigenvalue,
-)
+from fusionwitt.fpdim import FPDimData, certify_squares, charpoly, fp_dim_data, perron_root, simple_dims_prime_power
+from fusionwitt.fusion_ring import FusionRing
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -108,7 +111,7 @@ def poly_eval(coeffs, x):
 def shares_sqrt_root(coeffs, s):
     """Does sqrt(s) solve the polynomial, decided in integer arithmetic?
 
-    Applied to charpoly(M), the oracle for fpdim.sqrt_is_eigenvalue(M, s).
+    Applied to charpoly(M), the oracle for sqrt_is_eigenvalue_oracle(M, s).
     Perfect square s: evaluate at isqrt(s).  Otherwise x**2 - s is
     irreducible, so sqrt(s) is a root iff x**2 - s divides the
     polynomial; reduce modulo x**2 - s by substituting x**2 -> s.
@@ -141,14 +144,14 @@ matrices_to_8 = st.integers(min_value=1, max_value=8).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(matrices_to_8)
 def test_bareiss_det_matches_fraction_elimination(mat):
-    assert bareiss_det(mat) == det_fraction(mat)
+    assert bareiss_det_oracle(mat) == det_fraction(mat)
 
 
 def test_bareiss_det_known_values():
-    assert bareiss_det([]) == 1
-    assert bareiss_det([[0, 1], [1, 0]]) == -1     # needs a row swap
-    assert bareiss_det([[2, 4], [1, 2]]) == 0
-    assert bareiss_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+    assert bareiss_det_oracle([]) == 1
+    assert bareiss_det_oracle([[0, 1], [1, 0]]) == -1     # needs a row swap
+    assert bareiss_det_oracle([[2, 4], [1, 2]]) == 0
+    assert bareiss_det_oracle([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
 
 
 def planted(s, rest, coupling, moves):
@@ -213,27 +216,28 @@ def test_planted_matrices_have_the_planted_root():
 @given(matrix_and_s())
 def test_sqrt_is_eigenvalue_matches_the_charpoly_root_test(case):
     mat, s = case
-    assert sqrt_is_eigenvalue(mat, s) == shares_sqrt_root(charpoly(mat), s)
+    assert sqrt_is_eigenvalue_oracle(mat, s) == shares_sqrt_root(charpoly(mat), s)
+
+
+def realization_rings(monkeypatch) -> list[FusionRing]:
+    """The ring of each realization the benchmark's rings workload draws."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    rings = []
+    for specs in workloads.REALIZATIONS.values():
+        for spec in specs:
+            ring = workloads.build_ring(spec)
+            r = range(len(ring.labels))
+            rings.append(as_ring(ring.labels, ring.dual, [[[ring.coeff.get((i, j, k), 0) for k in r] for j in r] for i in r]))
+    return rings
 
 
 def ring_left_matrices(monkeypatch):
     """Every distinct left matrix of the corpus rings and of the rings
     the benchmark's rings workload realizes."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    import workloads
-
-    mats = set()
-    for name in corpus.names(".fr"):
-        ring = cli.parse_ring_file(corpus.path(name))
-        mats.update(tuple(map(tuple, ring.left_matrix(i))) for i in range(ring.rank))
-    for specs in workloads.REALIZATIONS.values():
-        for spec in specs:
-            ring = workloads.build_ring(spec)
-            r = len(ring.labels)
-            mats.update(
-                tuple(tuple(ring.coeff.get((i, j, k), 0) for k in range(r)) for j in range(r)) for i in range(r)
-            )
-    return sorted(mats)
+    rings = [load_ring(name) for name in corpus.names(".fr")] + realization_rings(monkeypatch)
+    return sorted({tuple(map(tuple, ring.left_matrix(i))) for ring in rings for i in range(ring.rank)})
 
 
 def test_sqrt_is_eigenvalue_matches_charpoly_on_every_ring_matrix(monkeypatch):
@@ -243,7 +247,7 @@ def test_sqrt_is_eigenvalue_matches_charpoly_on_every_ring_matrix(monkeypatch):
         poly = charpoly(mat)
         for s in range(1, 17):
             expect = shares_sqrt_root(poly, s)
-            assert sqrt_is_eigenvalue(mat, s) == expect, (mat, s)
+            assert sqrt_is_eigenvalue_oracle(mat, s) == expect, (mat, s)
             found += expect
     # both verdicts occur, at 1, 2, 4, 8 and more
     assert len(mats) > 100 and 0 < found < 16 * len(mats)
@@ -380,6 +384,86 @@ def test_pointed_dims_are_all_one(orders):
     data = fp_dim_data(pointed_ring(tuple(orders)))
     assert all(s == 1 for s in data.exact_square)
     assert data.integral
+
+
+# ------------------------------------------------- the subring certificate
+
+
+def assert_certified_as_the_oracle(ring):
+    """fp_dim_data certifies a simple exactly when the Bareiss oracle
+    proves its candidate, sqrt(round(dim**2)), an eigenvalue of the
+    simple's left matrix."""
+    data = fp_dim_data(ring)
+    for i, d in enumerate(data.dims):
+        s = round(d * d)
+        want = s if sqrt_is_eigenvalue_oracle(ring.left_matrix(i), s) else None
+        assert data.exact_square[i] == want, (ring.labels[i], s)
+
+
+def test_certificates_match_the_oracle_on_every_bundled_ring(monkeypatch):
+    # the corpus (D(S3) included), the benchmark's realizations and the
+    # pointed Z_20, Z_24, Z_30, Z_2 x Z_3 x Z_5 and Z_60, each a tensor
+    # product of coprime cyclic factors, which skips the O(r^4)
+    # validation at its full rank
+    rings = [load_ring(name) for name in corpus.names(".fr")] + realization_rings(monkeypatch)
+    for orders in ((4, 5), (8, 3), (6, 5), (2, 3, 5), (4, 15)):
+        ring = pointed_ring((orders[0],))
+        for n in orders[1:]:
+            ring = tensor_ring(ring, pointed_ring((n,)))
+        rings.append(ring)
+    for ring in rings:
+        assert_certified_as_the_oracle(ring)
+
+
+PRODUCT_FACTORS = [load_ring(name) for name in ("fibonacci.fr", "ising.fr", "rep_s3.fr")]
+PRODUCT_FACTORS += [pointed_ring((n,)) for n in range(2, 6)]
+
+
+@st.composite
+def product_rings(draw):
+    """A tensor product of one to three of F, I, R and Z_2 .. Z_5, up to
+    rank 24, with its non-unit basis permuted."""
+    ring = draw(st.sampled_from(PRODUCT_FACTORS))
+    for factor in draw(st.lists(st.sampled_from(PRODUCT_FACTORS), max_size=2)):
+        if ring.rank * factor.rank <= 24:
+            ring = tensor_ring(ring, factor)
+    return permuted(ring, [0] + draw(st.permutations(range(1, ring.rank))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_rings())
+def test_certificates_match_the_oracle_on_random_tensor_products(ring):
+    assert_certified_as_the_oracle(ring)
+
+
+@pytest.mark.parametrize("name", ["ising.fr", "rep_s3.fr", "z2z2.fr", "d_s3.fr"])
+def test_one_changed_product_coefficient_fails_the_check(name):
+    # the product rule of X_i X_j moves by sqrt(s_k s_i s_j) != 0
+    ring = load_ring(name)
+    squares = dict(enumerate(fp_dim_data(ring).exact_square))
+    certify_squares(ring, squares)
+    for i, j, k in product(range(ring.rank), repeat=3):
+        for value in (ring.coeff[i][j][k] - 1, ring.coeff[i][j][k] + 1):
+            if value >= 0:
+                with pytest.raises(CertificationError):
+                    certify_squares(mutate(ring, i, j, k, value), squares)
+
+
+def test_a_constituent_whose_root_is_no_integer_fails_the_check(fibonacci_ring):
+    # tau tau = 1 + tau with the false candidate dim tau = sqrt(2): the
+    # rounded-down roots give isqrt(4) + isqrt(8) = 4 = t, but sqrt(8) is
+    # no integer, and sqrt(2) sqrt(2) = 2 differs from 1 + sqrt(2)
+    with pytest.raises(CertificationError, match=re.escape("sqrt(2) of tau and sqrt(2) of tau")):
+        certify_squares(fibonacci_ring, {0: 1, 1: 2})
+
+
+def test_certificate_failures_name_the_simples(ising_ring):
+    with pytest.raises(CertificationError, match="^eps has no integral dim\\^2, yet lies in the subring generated"):
+        certify_squares(ising_ring, {0: 1, 2: 2})
+    with pytest.raises(CertificationError, match=re.escape(
+        "candidate dims sqrt(2) of sigma and sqrt(2) of sigma: their product differs from the dimension of sigma sigma"
+    )):
+        certify_squares(mutate(ising_ring, 2, 2, 1, 2), {0: 1, 1: 1, 2: 2})
 
 
 # ---------------------------------------------------------- prime powers

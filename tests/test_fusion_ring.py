@@ -3,11 +3,10 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_ring, make_ring, pointed_ring, tensor_ring, validate_ring_oracle
+from conftest import as_ring, load_ring, make_ring, mutate, permuted, pointed_ring, tensor_ring, validate_ring_oracle
 from fusionwitt import cli, corpus, fusion_ring
 from fusionwitt.errors import ConsistencyError, ValidationError
 from fusionwitt.fusion_ring import (
-    FusionRing,
     adjoint_subring,
     invertibles,
     nilpotency,
@@ -19,22 +18,8 @@ from fusionwitt.fusion_ring import (
 )
 
 
-def as_ring(labels, dual, coeff):
-    return FusionRing(
-        labels=tuple(labels),
-        dual=tuple(dual),
-        coeff=tuple(tuple(tuple(row) for row in plane) for plane in coeff),
-    )
-
-
 def violation_kinds(ring):
     return sorted({v.kind for v in validate_ring(ring)})
-
-
-def mutate(ring, i, j, k, value):
-    coeff = [[list(row) for row in plane] for plane in ring.coeff]
-    coeff[i][j][k] = value
-    return as_ring(ring.labels, ring.dual, coeff)
 
 
 # ----------------------------------------------------------- validation
@@ -118,16 +103,6 @@ PRODUCT_RINGS = [
     for a, b in combinations_with_replacement(CORPUS_RINGS, 2)
     if a.rank > 1 and b.rank > 1 and a.rank * b.rank <= ORACLE_RANK
 ]
-
-
-def permuted(ring, order):
-    """ring with basis element t the old element order[t]; order[0] = 0."""
-    new = {old: t for t, old in enumerate(order)}
-    return as_ring(
-        [ring.labels[i] for i in order],
-        [new[ring.dual[i]] for i in order],
-        [[[ring.coeff[i][j][k] for k in order] for j in order] for i in order],
-    )
 
 
 @st.composite

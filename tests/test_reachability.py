@@ -53,7 +53,6 @@ ALLOWLIST = {
     "cli.parse_machine_value": README_API,
     "corpus.names": README_API,
     "corpus.path": README_API,
-    # the CLI's exit 1 for a metric file that breaks a congruence
     # the benchmark's tracer wraps it; it moves under tests/ once the
     # tracer reads package spans instead
     "fpdim.charpoly": LEAVES_WITH_ITEM_7,
