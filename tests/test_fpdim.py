@@ -449,21 +449,18 @@ def test_one_changed_product_coefficient_fails_the_check(name):
                     certify_squares(mutate(ring, i, j, k, value), squares)
 
 
-def test_a_constituent_whose_root_is_no_integer_fails_the_check(fibonacci_ring):
-    # tau tau = 1 + tau with the false candidate dim tau = sqrt(2): the
-    # rounded-down roots give isqrt(4) + isqrt(8) = 4 = t, but sqrt(8) is
-    # no integer, and sqrt(2) sqrt(2) = 2 differs from 1 + sqrt(2)
-    with pytest.raises(CertificationError, match=re.escape("sqrt(2) of tau and sqrt(2) of tau")):
-        certify_squares(fibonacci_ring, {0: 1, 1: 2})
-
-
-def test_certificate_failures_name_the_simples(ising_ring):
+def test_certificate_failures_name_the_simples(ising_ring, fibonacci_ring):
     with pytest.raises(CertificationError, match="^eps has no integral dim\\^2, yet lies in the subring generated"):
         certify_squares(ising_ring, {0: 1, 2: 2})
     with pytest.raises(CertificationError, match=re.escape(
         "candidate dims sqrt(2) of sigma and sqrt(2) of sigma: their product differs from the dimension of sigma sigma"
     )):
         certify_squares(mutate(ising_ring, 2, 2, 1, 2), {0: 1, 1: 1, 2: 2})
+    # tau tau = 1 + tau with the false candidate dim tau = sqrt(2): the
+    # rounded-down roots give isqrt(4) + isqrt(8) = 4 = t, but sqrt(8) is
+    # no integer, and sqrt(2) sqrt(2) = 2 differs from 1 + sqrt(2)
+    with pytest.raises(CertificationError, match=re.escape("sqrt(2) of tau and sqrt(2) of tau")):
+        certify_squares(fibonacci_ring, {0: 1, 1: 2})
 
 
 # ---------------------------------------------------------- prime powers
