@@ -5,8 +5,9 @@ A fusion ring of rank r has basis X_0..X_{r-1} with X_0 the unit, a
 dual involution *, and products X_i X_j = sum_k N[i][j][k] X_k with
 nonnegative integer coefficients, read as ring.coeff[i][j][k] with no
 accessor method: a method call per coefficient dominated the O(r^5)
-associativity check.  Everything in this module is exact;
-Frobenius-Perron data lives in fpdim.py.
+associativity check, which also binds each row once per loop level
+(N[i], then N[i][j] and N[j], then N[j][k]).  Everything in this
+module is exact; Frobenius-Perron data lives in fpdim.py.
 """
 
 from __future__ import annotations
@@ -90,11 +91,18 @@ def validate_ring(ring: FusionRing) -> list[Violation]:
             out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{dual[i]}][{k}][{j}]"))
         if N[i][j][k] != N[k][dual[j]][i]:
             out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{k}][{dual[j]}][{i}]"))
-    for i, j, k, l in product(range(r), repeat=4):
-        left = sum(N[i][j][m] * N[m][k][l] for m in range(r))
-        right = sum(N[j][k][m] * N[i][m][l] for m in range(r))
-        if left != right:
-            out.append(Violation("associativity", (i, j, k, l), f"(X{i} X{j}) X{k} vs X{i} (X{j} X{k}) differ at X{l}"))
+    R = range(r)
+    for i in R:
+        Ni = N[i]
+        for j in R:
+            Nij, Nj = Ni[j], N[j]
+            for k in R:
+                Njk = Nj[k]
+                for l in R:
+                    left = sum(Nij[m] * N[m][k][l] for m in R)
+                    right = sum(Njk[m] * Ni[m][l] for m in R)
+                    if left != right:
+                        out.append(Violation("associativity", (i, j, k, l), f"(X{i} X{j}) X{k} vs X{i} (X{j} X{k}) differ at X{l}"))
     return out
 
 

@@ -3,7 +3,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_factorization, factorizes_oracle, is_square_free, pointed_ring, recompose
+from conftest import check_factorization, factorizes_oracle, is_square_free, pointed_ring, recompose, tensor_ring
 from fusionwitt.arith import factorize, factorize_with_sieve, smallest_factor_sieve
 from fusionwitt.caps import Cap
 from fusionwitt.classifier import (
@@ -297,7 +297,9 @@ def test_ring_verdict_pointed_z6(z6_ring):
 
 
 def test_ring_verdict_pointed_z30():
-    ring = pointed_ring((30,))
+    # Z_30 as Z_2 x Z_3 x Z_5, a tensor product of validated cyclic
+    # factors, which skips the O(r^5) validation at rank 30
+    ring = tensor_ring(tensor_ring(pointed_ring((2,)), pointed_ring((3,))), pointed_ring((5,)))
     v = ring_verdict(ring)
     assert v.kind == VerdictKind.SOLVABLE_SINGLE_PRIME
 

@@ -403,7 +403,7 @@ def assert_certified_as_the_oracle(ring):
 def test_certificates_match_the_oracle_on_every_bundled_ring(monkeypatch):
     # the corpus (D(S3) included), the benchmark's realizations and the
     # pointed Z_20, Z_24, Z_30, Z_2 x Z_3 x Z_5 and Z_60, each a tensor
-    # product of coprime cyclic factors, which skips the O(r^4)
+    # product of coprime cyclic factors, which skips the O(r^5)
     # validation at its full rank
     rings = [load_ring(name) for name in corpus.names(".fr")] + realization_rings(monkeypatch)
     for orders in ((4, 5), (8, 3), (6, 5), (2, 3, 5), (4, 15)):

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,13 +105,28 @@ PRODUCT_RINGS = [
 ]
 
 
+def s3_ring():
+    """The group ring of S3 on the permutations of 0, 1, 2, unit first,
+    unvalidated: associative, with dual the inverse, but not commutative."""
+    perms = sorted(permutations(range(3)))
+    index = {p: t for t, p in enumerate(perms)}
+    coeff = [[[int(index[tuple(p[x] for x in q)] == k) for k in range(6)] for q in perms] for p in perms]
+    inverse = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
+    return as_ring(["1"] + ["".join(map(str, p)) for p in perms[1:]], inverse, coeff)
+
+
+# every other base ring is commutative, where N[i][m][l] = N[m][i][l]
+# hides a transposed read in the associativity check
+S3 = s3_ring()
+
+
 @st.composite
 def oracle_rings(draw):
     """A drawn ring with its non-unit basis permuted, and maybe one
     coefficient raised by 1 or one positive coefficient lowered by 1."""
     ring = draw(st.one_of(
         st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2).map(lambda o: pointed_ring(tuple(o))),
-        st.sampled_from(CORPUS_RINGS + PRODUCT_RINGS),
+        st.sampled_from(CORPUS_RINGS + PRODUCT_RINGS + [S3]),
     ))
     r = ring.rank
     ring = permuted(ring, [0] + draw(st.permutations(range(1, r))))
@@ -151,6 +166,24 @@ def test_validate_ring_matches_the_oracle_on_each_broken_axiom(kind):
     violations = validate_ring(BROKEN[kind])
     assert kind in {v.kind for v in violations}
     assert violations == validate_ring_oracle(BROKEN[kind])
+
+
+def test_s3_group_ring_breaks_only_commutativity():
+    # 18 of the 36 ordered pairs of S3 do not commute, and each such g, h
+    # breaks N[g][h][k] = N[h][g][k] at k = gh and at k = hg
+    violations = validate_ring(S3)
+    assert [v.kind for v in violations] == ["commutativity"] * 36
+    assert violations == validate_ring_oracle(S3)
+
+
+def test_validate_ring_matches_the_oracle_on_a_changed_s3_coefficient():
+    # X1 and X2 are transpositions that do not commute; drop X1 X2 to zero
+    assert S3.constituents(1, 2) != S3.constituents(2, 1)
+    (k,) = S3.constituents(1, 2)
+    broken = mutate(S3, 1, 2, k, 0)
+    violations = validate_ring(broken)
+    assert {v.kind for v in violations} == {"commutativity", "frobenius", "associativity"}
+    assert violations == validate_ring_oracle(broken)
 
 
 def test_tensor_products_of_valid_rings_validate():
