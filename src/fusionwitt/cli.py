@@ -524,12 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _capped(command, args, caps):
     """command(args) inside one Cap.limit block per (cap, dest) pair, set
-    from the flag of that dest.  A verb enters only the caps it takes a
-    flag for and leaves the others to their variables and defaults."""
+    from the flag of that dest, else from the cap's variable or default
+    read once here rather than at every check.  A verb enters only the
+    caps it takes a flag for and leaves the others to their variables
+    and defaults."""
     if not caps:
         return command(args)
     (cap, dest), *rest = caps
-    with cap.limit(getattr(args, dest)):
+    value = getattr(args, dest)
+    with cap.limit(cap.unscoped() if value is None else value):
         return _capped(command, args, rest)
 
 

@@ -1,13 +1,16 @@
-"""Commutative fusion rings: representation, validation, and the
-structure maps that only need the integer coefficients.
+"""Fusion rings: representation, validation, and the structure maps
+that only need the integer coefficients.
 
 A fusion ring of rank r has basis X_0..X_{r-1} with X_0 the unit, a
 dual involution *, and products X_i X_j = sum_k N[i][j][k] X_k with
 nonnegative integer coefficients, read as ring.coeff[i][j][k] with no
 accessor method: a method call per coefficient dominated the O(r^5)
 associativity check, which also binds each row once per loop level
-(N[i], then N[i][j] and N[j], then N[j][k]).  Everything in this
-module is exact; Frobenius-Perron data lives in fpdim.py.
+(N[i], then N[i][j] and N[j], then N[j][k]).  validate_ring checks any
+table, commutative or not, and reports commutativity as one axiom
+among the others; the analysis layers assume a valid, hence
+commutative, ring.  Everything in this module is exact;
+Frobenius-Perron data lives in fpdim.py.
 """
 
 from __future__ import annotations
@@ -50,6 +53,18 @@ def validate_ring(ring: FusionRing) -> list[Violation]:
     Violations are collected rather than raised so a report can show all
     problems at once.  Shape problems short-circuit the axiom checks
     because index arithmetic is meaningless on misshapen data.
+
+    Associativity, sum_m N_ij^m N_mk^l = sum_m N_jk^m N_im^l, needs no
+    check at a quadruple (i, j, k, l) with a unit index once duality,
+    unit, rigidity and Frobenius reciprocity hold.  By the unit axiom
+    both sides are N_jk^l at i = 0, N_ik^l at j = 0 and N_ij^l at k = 0.
+    At l = 0, rigidity (N_mk^0 = 1 iff m = k*, as * is an involution)
+    makes the left side N_ij^{k*} and the right side N_jk^{i*}, and the
+    two Frobenius checks give N_jk^{i*} = N_{i*k*}^j = N_ij^{k*}.  So
+    when every check before it passes, the loop runs i, j, k, l over
+    the non-unit simples 1..r-1, ((r-1)/r)^4 of the quadruples; after
+    any earlier violation it runs over all of them, as those axioms may
+    not hold.  The sums over m always run over every simple.
     """
     out: list[Violation] = []
     r = ring.rank
@@ -92,13 +107,14 @@ def validate_ring(ring: FusionRing) -> list[Violation]:
         if N[i][j][k] != N[k][dual[j]][i]:
             out.append(Violation("frobenius", (i, j, k), f"N[{i}][{j}][{k}] != N[{k}][{dual[j]}][{i}]"))
     R = range(r)
-    for i in R:
+    simples = range(0 if out else 1, r)
+    for i in simples:
         Ni = N[i]
-        for j in R:
+        for j in simples:
             Nij, Nj = Ni[j], N[j]
-            for k in R:
+            for k in simples:
                 Njk = Nj[k]
-                for l in R:
+                for l in simples:
                     left = sum(Nij[m] * N[m][k][l] for m in R)
                     right = sum(Njk[m] * Ni[m][l] for m in R)
                     if left != right:

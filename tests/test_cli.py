@@ -9,11 +9,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fusionwitt import cli, corpus, fpdim, fusion_ring, metric_group, witt
+from fusionwitt import caps, cli, corpus, fpdim, fusion_ring, metric_group, witt
 from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cli import (
     FileFormatError,
@@ -587,12 +588,15 @@ def test_a_cap_flag_does_not_outlive_its_call(capsys):
     (["classify", "1764"], []),
     (["scan", "100"], []),
     (["analyze", "ising.fr"], []),
-    (["validate", "semion.mg"], [(ELEMENT_CAP, None)]),
+    (["validate", "semion.mg"], [(ELEMENT_CAP, ELEMENT_CAP.default)]),
     (["witt-class", "semion.mg", "--element-cap", "64"], [(ELEMENT_CAP, 64)]),
-    (["witt-order", "semion.mg", "--order-cap", "16"], [(ORDER_CAP, 16), (ELEMENT_CAP, None)]),
-    (["witt-subgroup", "semion.mg", "semion_bar.mg"], [(CLOSURE_CAP, None), (ELEMENT_CAP, None)]),
+    (["witt-order", "semion.mg", "--order-cap", "16"], [(ORDER_CAP, 16), (ELEMENT_CAP, ELEMENT_CAP.default)]),
+    (["witt-subgroup", "semion.mg", "semion_bar.mg"], [(CLOSURE_CAP, CLOSURE_CAP.default), (ELEMENT_CAP, ELEMENT_CAP.default)]),
 ], ids=lambda case: " ".join(case) if case and isinstance(case[0], str) else None)
 def test_a_call_enters_only_the_caps_its_verb_takes_a_flag_for(capsys, monkeypatch, argv, entered):
+    # a cap without its flag is entered at its default, read once per call
+    for cap in (ELEMENT_CAP, ORDER_CAP, CLOSURE_CAP):
+        monkeypatch.delenv(cap.env, raising=False)
     limit, calls = type(ELEMENT_CAP).limit, []
 
     def spy(cap, value):
@@ -603,6 +607,34 @@ def test_a_call_enters_only_the_caps_its_verb_takes_a_flag_for(capsys, monkeypat
     code, _, _ = run_cli(capsys, *(corpus.path(a) if a.endswith((".fr", ".mg")) else a for a in argv))
     assert code == 0
     assert calls == entered
+
+
+@pytest.mark.parametrize("element_cap", [None, "64"])
+def test_a_call_reads_each_cap_variable_at_most_once(capsys, monkeypatch, element_cap):
+    reads, checks = [], []
+
+    class CountingEnviron:
+        def get(self, key, default=None):
+            reads.append(key)
+            return os.environ.get(key, default)
+
+    check = type(ELEMENT_CAP).check
+
+    def counting_check(cap, size, subject):
+        checks.append(cap.env)
+        return check(cap, size, subject)
+
+    for cap in (ELEMENT_CAP, ORDER_CAP, CLOSURE_CAP):
+        monkeypatch.delenv(cap.env, raising=False)
+    if element_cap is not None:
+        monkeypatch.setenv(ELEMENT_CAP.env, element_cap)
+    monkeypatch.setattr(caps, "os", SimpleNamespace(environ=CountingEnviron()))
+    monkeypatch.setattr(type(ELEMENT_CAP), "check", counting_check)
+    files = [corpus.path(name) for name in ("semion.mg", "semion_bar.mg", "z4_eighth.mg", "z8_sixteenth.mg")]
+    code, out, _ = run_cli(capsys, "witt-subgroup", *files, "--format", "machine")
+    assert code == 0 and "subgroup_order=" in out
+    assert checks.count(ELEMENT_CAP.env) > 1 and checks.count(CLOSURE_CAP.env) > 1
+    assert sorted(reads) == sorted([ELEMENT_CAP.env, CLOSURE_CAP.env])
 
 
 def test_a_cap_variable_set_after_the_parser_is_built_is_read(capsys, monkeypatch):

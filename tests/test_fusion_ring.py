@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +184,113 @@ def test_validate_ring_matches_the_oracle_on_a_changed_s3_coefficient():
     violations = validate_ring(broken)
     assert {v.kind for v in violations} == {"commutativity", "frobenius", "associativity"}
     assert violations == validate_ring_oracle(broken)
+
+
+def orbit(ring, i, j, k):
+    """(i, j, k) and its images under (i, j, k) -> (j, i, k), (i*, k, j)
+    and (k, j*, i): the triples whose coefficients commutativity and the
+    two Frobenius checks set equal to N[i][j][k]."""
+    dual = ring.dual
+    seen, todo = set(), [(i, j, k)]
+    while todo:
+        t = todo.pop()
+        if t not in seen:
+            seen.add(t)
+            a, b, c = t
+            todo += [(b, a, c), (dual[a], c, b), (c, dual[b], a)]
+    return seen
+
+
+def orbit_raised(ring, i, j, k):
+    """ring with N[i][j][k] and the rest of its orbit raised by 1,
+    unvalidated."""
+    coeff = [[list(row) for row in plane] for plane in ring.coeff]
+    for a, b, c in orbit(ring, i, j, k):
+        coeff[a][b][c] += 1
+    return as_ring(ring.labels, ring.dual, coeff)
+
+
+@st.composite
+def orbit_mutants(draw):
+    """A valid ring of rank at least 2, its non-unit basis permuted, with
+    one N[i][j][k] (i, j, k >= 1) raised by 1 together with its whole
+    orbit.  The unit, rigidity, commutativity and Frobenius checks still
+    pass, so validate_ring checks associativity on the non-unit
+    quadruples only, and only associativity can fail."""
+    ring = draw(st.one_of(
+        st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=2).map(lambda o: pointed_ring(tuple(o))),
+        st.sampled_from([ring for ring in CORPUS_RINGS + PRODUCT_RINGS if ring.rank > 1]),
+    ))
+    r = ring.rank
+    ring = permuted(ring, [0] + draw(st.permutations(range(1, r))))
+    i, j, k = draw(st.tuples(*[st.integers(min_value=1, max_value=r - 1)] * 3))
+    return orbit_raised(ring, i, j, k)
+
+
+def unequal_unit_quadruples(ring):
+    """Every (i, j, k, l) with a unit index at which (X_i X_j) X_k and
+    X_i (X_j X_k) differ at X_l."""
+    N, R = ring.coeff, range(ring.rank)
+    return [
+        (i, j, k, l)
+        for i, j, k, l in product(R, repeat=4)
+        if 0 in (i, j, k, l)
+        and sum(N[i][j][m] * N[m][k][l] for m in R) != sum(N[j][k][m] * N[i][m][l] for m in R)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_mutants())
+def test_orbit_mutants_fail_associativity_off_the_unit_only(ring):
+    violations = validate_ring(ring)
+    assert violations == validate_ring_oracle(ring)
+    assert {v.kind for v in violations} <= {"associativity"}
+    assert unequal_unit_quadruples(ring) == []
+
+
+def test_an_orbit_mutant_of_ising_fails_associativity_only():
+    # psi sigma = sigma psi = 2 sigma and sigma sigma = 1 + 2 psi; raising
+    # (2, 2, 2) alone would give sigma sigma = 1 + psi + sigma, the valid
+    # table of Rep(S3)
+    assert orbit(ISING, 1, 2, 2) == {(1, 2, 2), (2, 1, 2), (2, 2, 1)}
+    broken = orbit_raised(ISING, 1, 2, 2)
+    violations = validate_ring(broken)
+    assert violations and {v.kind for v in violations} == {"associativity"}
+    assert violations == validate_ring_oracle(broken)
+    assert unequal_unit_quadruples(broken) == []
+
+
+def quadruples_evaluated(monkeypatch, ring):
+    """How many (i, j, k, l) validate_ring's associativity loop evaluates,
+    counted through a sum set into fusion_ring's globals: two sums each."""
+    sums = []
+
+    def counting_sum(terms):
+        sums.append(None)
+        return sum(terms)
+
+    monkeypatch.setattr(fusion_ring, "sum", counting_sum, raising=False)
+    validate_ring(ring)
+    assert len(sums) % 2 == 0
+    return len(sums) // 2
+
+
+# (r-1)^4 quadruples when every check before associativity passes, r^4
+# after an earlier violation
+WORK = {
+    "ising": (ISING, 2**4),
+    "ising x rep_s3": (tensor_ring(ISING, load_ring("rep_s3.fr")), 8**4),
+    "z4": (Z4, 3**4),
+    "ising, psi psi = 1 + psi": (BROKEN["associativity"], 2**4),
+    "ising, commutativity broken": (BROKEN["commutativity"], 3**4),
+    "ising, frobenius broken": (BROKEN["frobenius"], 3**4),
+    "s3": (S3, 6**4),
+}
+
+
+@pytest.mark.parametrize("ring, quadruples", WORK.values(), ids=WORK)
+def test_associativity_skips_the_unit_only_on_rings_that_pass_the_earlier_checks(monkeypatch, ring, quadruples):
+    assert quadruples_evaluated(monkeypatch, ring) == quadruples
 
 
 def test_tensor_products_of_valid_rings_validate():
