@@ -54,9 +54,9 @@ _EXPORTS = {
         ("metric_group", "GaussSum MetricGroup direct_sum gauss_sum inverse_form make_metric sylow_decompose"
                          " validate_metric"),
         ("witt", "IDENTITY_CLASS IDENTITY_WORD ISING_GENERATOR_WORD PointedWittClass WittSubgroup WittWord"
-                 " anisotropic_reduction class_eq class_inverse class_multiply class_order from_ising_category"
-                 " generated_subgroup metric_iso pointed_witt_class reduce_once reduce_sylow_part word_compose word_eq"
-                 " word_inverse word_is_identity word_order"),
+                 " anisotropic_reduction class_eq class_inverse class_key class_multiply class_order"
+                 " from_ising_category generated_subgroup metric_iso pointed_witt_class reduce_once"
+                 " reduce_sylow_part word_compose word_eq word_inverse word_is_identity word_order"),
     )
     for name in names.split()
 }

@@ -1,4 +1,4 @@
-"""The size caps that keep enumeration and closure from stalling.
+"""The size caps that keep parsing, enumeration and closure from stalling.
 
 Each cap is checked where the work it bounds happens, against a limit
 resolved at the check: the value of the innermost enclosing
@@ -85,3 +85,4 @@ def _scope(env: str, value: int) -> Iterator[None]:
 ELEMENT_CAP = Cap("element cap", 2**16, "FUSIONWITT_ELEMENT_CAP", "--element-cap")
 ORDER_CAP = Cap("order cap", 32, "FUSIONWITT_ORDER_CAP", "--order-cap")
 CLOSURE_CAP = Cap("closure cap", 256, "FUSIONWITT_CLOSURE_CAP", "--closure-cap")
+RANK_CAP = Cap("rank cap", 64, "FUSIONWITT_RANK_CAP", "--rank-cap")

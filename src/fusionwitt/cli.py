@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import classifier, fpdim, fusion_ring, metric_group, witt
-from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP, positive_int
+from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP, RANK_CAP, positive_int
 from .errors import ConsistencyError, FusionWittError, ValidationError
 
 
@@ -61,7 +61,9 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
 
     Format: 'rank r', 'labels l0 ... l{r-1}', 'dual p0 ... p{r-1}'
     (a 0-based permutation), then one 'N i j k m' line per nonzero
-    coefficient; omitted triples are zero, '#' starts a comment.
+    coefficient; omitted triples are zero, '#' starts a comment.  The
+    rank is checked against the rank cap before the labels are read
+    and the dense r x r x r table is built.
     """
     lines = _read_lines(path)
     if len(lines) < 3:
@@ -73,6 +75,7 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
     rank = int(parts[1])
     if rank < 1:
         raise FileFormatError(f"{path}:{ln_rank}: rank must be at least 1")
+    RANK_CAP.check(rank, f"ring of rank {rank}")
     parts = label_line.split()
     if parts[:1] != ["labels"] or len(parts) != rank + 1:
         raise FileFormatError(f"{path}:{ln_lab}: expected 'labels' with {rank} names")
@@ -501,9 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
             for cap in caps)
         return p
 
-    p = verb("validate", "check a ring or metric group file against the axioms", ELEMENT_CAP)
+    p = verb("validate", "check a ring or metric group file against the axioms", ELEMENT_CAP, RANK_CAP)
     p.add_argument("file")
-    p = verb("analyze", "full invariant report for a fusion ring")
+    p = verb("analyze", "full invariant report for a fusion ring", RANK_CAP)
     p.add_argument("file")
     p.add_argument("--force", action="store_true", help="analyze even when validation fails")
     p.add_argument("--tolerance", type=float, default=1e-12)

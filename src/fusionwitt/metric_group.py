@@ -8,8 +8,9 @@ constructor ends in one integer constructor, which checks the chain and
 the congruences as integer congruences mod L and decides nondegeneracy
 from the Gram matrix, without enumerating the group.  Fractions appear
 only at the edges: metric_group() and validate_metric() read Fraction
-input, and q hands a value back out.  The Gauss sum is
-computed once per (immutable) object.  Degenerate forms are
+input, and q hands a value back out.  The Gauss sum is computed once
+per (immutable) object: a direct sum multiplies its summands' sums, and
+every other group enumerates its own.  Degenerate forms are
 representable (the radical can be nontrivial) and nondegeneracy is
 recorded on the object, but only a nondegenerate form has a Gauss sum.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -41,13 +42,16 @@ class MetricGroup:
     is the trivial group with single element ().  level L is the lcm of
     the denominators of q(e_i) and b(e_i, e_j); gram holds
     G_ij = L b(e_i, e_j) in [0, L), with the diagonal kept as 2 L q(e_i)
-    in [0, 2 L), so that x^T G x = 2 L q(x) exactly.
+    in [0, 2 L), so that x^T G x = 2 L q(x) exactly.  summands, set only
+    by direct_sum, holds the two groups whose orthogonal sum this is; it
+    takes no part in equality or repr.
     """
 
     orders: tuple[int, ...]
     level: int
     gram: tuple[tuple[int, ...], ...]
     nondegenerate: bool
+    summands: tuple[MetricGroup, MetricGroup] | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -74,17 +78,26 @@ class MetricGroup:
         """Sum of exp(2 pi i q(x)) over the group, computed exactly, once.
 
         Only a nondegenerate form has one here; a degenerate form raises
-        ValueError.  By Milgram's formula G = sqrt|A| exp(2 pi i k / 8),
-        so G**2 = |A| i**m for exactly one m in 0..3.  That one exact
-        comparison fixes the argument mod 1/2 of a turn and is the whole
-        Milgram check, since |G|**4 = |A|**2 follows from it; a miss
-        raises ConsistencyError.  The remaining sign is separated
-        numerically with error orders of magnitude below the gap of
-        2|G| >= 2.  Unchecked against the element cap: read it through
-        gauss_sum.
+        ValueError.  The sum over an orthogonal sum A + B is the product
+        of the two sums, so a group built by direct_sum multiplies its
+        summands' sums (|G|^2 multiply, arguments add mod 1) and
+        enumerates nothing; reduce_once's argument check on the
+        quotients catches a direct sum that built the wrong form.
+
+        Every other group is enumerated.  By Milgram's formula
+        G = sqrt|A| exp(2 pi i k / 8), so G**2 = |A| i**m for exactly
+        one m in 0..3.  That one exact comparison fixes the argument mod
+        1/2 of a turn and is the whole Milgram check, since
+        |G|**4 = |A|**2 follows from it; a miss raises ConsistencyError.
+        The remaining sign is separated numerically with error orders of
+        magnitude below the gap of 2|G| >= 2.  Unchecked against the
+        element cap: read it through gauss_sum.
         """
         if not self.nondegenerate:
             raise ValueError("Gauss sum needs a nondegenerate metric group")
+        if self.summands is not None:
+            a, b = (s.gauss for s in self.summands)
+            return GaussSum(a.magnitude_squared * b.magnitude_squared, (a.argument + b.argument) % 1)
         level = lcm(8, self.level)
         step = level // self.level
         counts = Counter(map(self.value, self.elements()))
@@ -261,7 +274,9 @@ def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     The block group (orders of a, then of b, cross terms zero between
     blocks) is rebased through the Smith normal form of its relation
     matrix, so e.g. Z_2 + Z_3 comes out as Z_6 with the form carried to
-    the new generator.
+    the new generator.  The result keeps a and b as its summands, so its
+    Gauss sum, when asked for, is the product of theirs and no element
+    of the sum is enumerated for it.
     """
     orders = a.orders + b.orders
     k = len(orders)
@@ -277,7 +292,7 @@ def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     out = _metric_from_generators(ambient, gens, relations, a.size * b.size)
     if out.nondegenerate != (a.nondegenerate and b.nondegenerate):
         raise ConsistencyError("degeneracy not preserved by direct sum")
-    return out
+    return replace(out, summands=(a, b))
 
 
 def sylow_decompose(mg: MetricGroup) -> dict[int, MetricGroup]:

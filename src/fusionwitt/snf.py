@@ -43,12 +43,23 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     column operation on the columns of [M ; V] and inversely on the rows
     of V**-1, so U @ mat @ V is the working M throughout.
 
+    An input already in Smith form (zero off the diagonal, a nonnegative
+    divisor chain on it, zeros last) comes back with identity transforms
+    and no elimination: with U = V = I those conditions are exactly what
+    _verify proves, and the elimination would pick each diagonal entry
+    as its pivot in place and change nothing.  direct_sum's diagonal
+    relations are such inputs.
+
     >>> f = smith_normal_form([[2, 0], [0, 3]])
     >>> f.diagonal
     (1, 6)
     """
     r = len(mat)
     c = len(mat[0]) if r else 0
+    diagonal = tuple(mat[i][i] for i in range(min(r, c)))
+    if _is_smith(mat, diagonal):
+        eye = tuple(map(tuple, _identity(c)))
+        return SmithForm(diagonal=diagonal, u=tuple(map(tuple, _identity(r))), v=eye, v_inv=eye)
     a = [[*row, *e] for row, e in zip(mat, _identity(r))]
     v = _identity(c)
     vinv = _identity(c)
@@ -117,6 +128,14 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
                      v=tuple(map(tuple, v)), v_inv=tuple(map(tuple, vinv)))
     _verify(mat, form)
     return form
+
+
+def _is_smith(mat: list[list[int]], diagonal: tuple[int, ...]) -> bool:
+    """Whether mat is zero off its diagonal, which is a nonnegative
+    chain d_0 | d_1 | ... with any zeros at its end."""
+    if any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
+        return False
+    return all(d1 >= 0 and (d1 % d0 == 0 if d0 else not d1) for d0, d1 in zip((1, *diagonal), diagonal))
 
 
 def _verify(mat: list[list[int]], form: SmithForm) -> None:

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator
 
-from .arith import cayley_invariants, group_name
+from .arith import cayley_invariants, group_name, p_adic_valuation
 from .caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from .errors import ConsistencyError
 from .metric_group import (
@@ -219,6 +219,20 @@ def _extend(a: MetricGroup, b: MetricGroup, belems: list[tuple[int, ...]], image
     return None
 
 
+def class_key(c: PointedWittClass) -> tuple[tuple[int, int, Fraction], ...]:
+    """Per part, (p, v_p(|rep|) mod 2, Gauss argument of rep); the
+    identity class has the empty key.
+
+    Both entries are Witt invariants, since a reduction step divides |A|
+    by a square and keeps the argument, and isometric parts share them.
+    So two classes with different keys are never class_eq, and
+    class_eq need only compare classes with equal keys.  The key also
+    separates the classes of W_pt(p) (Drinfeld-Gelaki-Nikshych-Ostrik,
+    arXiv:1009.2117); nothing here relies on that.
+    """
+    return tuple((p, p_adic_valuation(rep.size, p) % 2, gauss_sum(rep).argument) for p, rep in c.parts)
+
+
 def class_eq(c1: PointedWittClass, c2: PointedWittClass) -> bool:
     """Equality of Witt classes via isomorphism of anisotropic parts."""
     if c1.primes != c2.primes:
@@ -277,9 +291,12 @@ def generated_subgroup(generators) -> WittSubgroup:
     """Closure of the generators under class multiplication.
 
     Equality inside the closure is decided by class_eq, so two different
-    presentations of one class occupy one slot.  Every ordered pair
-    (i, j) gets its product's index recorded once, later passes skip it,
-    and the table is read from the record.  Only one pair of each
+    presentations of one class occupy one slot.  The classes admitted so
+    far are indexed by class_key, a Witt invariant, so a new class is
+    compared by class_eq only with those of its key; the index found is
+    the one a scan of every earlier class would find.  Every ordered
+    pair (i, j) gets its product's index recorded once, later passes
+    skip it, and the table is read from the record.  Only one pair of each
     unordered pair of non-identity classes is multiplied: a product with
     the identity (index 0) is i + j, and since the Witt group is abelian
     the mirror (j, i) of a recorded pair has its index, the slot admit
@@ -289,15 +306,18 @@ def generated_subgroup(generators) -> WittSubgroup:
     grows past the closure cap.
     """
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
+    by_key: dict[tuple, list[int]] = {class_key(IDENTITY_CLASS): [0]}
     products: dict[tuple[int, int], int] = {}
 
     def admit(c: PointedWittClass) -> int:
         """The index of c's class, appended to elements if it is new."""
-        for i, e in enumerate(elements):
-            if class_eq(e, c):
+        same_key = by_key.setdefault(class_key(c), [])
+        for i in same_key:
+            if class_eq(elements[i], c):
                 return i
         elements.append(c)
         CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes")
+        same_key.append(len(elements) - 1)
         return len(elements) - 1
 
     for g in generators:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusionwitt import caps, cli, corpus, fpdim, fusion_ring, metric_group, witt
-from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
+from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP, RANK_CAP
 from fusionwitt.cli import (
     FileFormatError,
     fmt_value,
@@ -428,15 +428,20 @@ CAP_CASES = [
     ("FUSIONWITT_ORDER_CAP", "--order-cap", ["witt-order", "semion.mg"]),
     ("FUSIONWITT_CLOSURE_CAP", "--closure-cap", ["witt-subgroup", "z3_third.mg"]),
     ("FUSIONWITT_ELEMENT_CAP", "--element-cap", ["witt-order", "semion.mg"]),
+    ("FUSIONWITT_RANK_CAP", "--rank-cap", ["validate", "z4.fr"]),
+    ("FUSIONWITT_RANK_CAP", "--rank-cap", ["analyze", "z4.fr"]),
 ]
 
 # the cap each job passes at, by flag and command: |A| = 8, class order 8,
-# 4 classes, and products of order 16 in semion's class-order search
+# 4 classes, products of order 16 in semion's class-order search, and
+# rank 4
 PASSING_CAP = {
     ("--element-cap", "witt-class"): 8,
     ("--order-cap", "witt-order"): 8,
     ("--closure-cap", "witt-subgroup"): 8,
     ("--element-cap", "witt-order"): 16,
+    ("--rank-cap", "validate"): 4,
+    ("--rank-cap", "analyze"): 4,
 }
 
 
@@ -587,15 +592,16 @@ def test_a_cap_flag_does_not_outlive_its_call(capsys):
 @pytest.mark.parametrize("argv,entered", [
     (["classify", "1764"], []),
     (["scan", "100"], []),
-    (["analyze", "ising.fr"], []),
-    (["validate", "semion.mg"], [(ELEMENT_CAP, ELEMENT_CAP.default)]),
+    (["analyze", "ising.fr"], [(RANK_CAP, RANK_CAP.default)]),
+    (["validate", "semion.mg"], [(ELEMENT_CAP, ELEMENT_CAP.default), (RANK_CAP, RANK_CAP.default)]),
+    (["validate", "ising.fr", "--rank-cap", "3"], [(ELEMENT_CAP, ELEMENT_CAP.default), (RANK_CAP, 3)]),
     (["witt-class", "semion.mg", "--element-cap", "64"], [(ELEMENT_CAP, 64)]),
     (["witt-order", "semion.mg", "--order-cap", "16"], [(ORDER_CAP, 16), (ELEMENT_CAP, ELEMENT_CAP.default)]),
     (["witt-subgroup", "semion.mg", "semion_bar.mg"], [(CLOSURE_CAP, CLOSURE_CAP.default), (ELEMENT_CAP, ELEMENT_CAP.default)]),
 ], ids=lambda case: " ".join(case) if case and isinstance(case[0], str) else None)
 def test_a_call_enters_only_the_caps_its_verb_takes_a_flag_for(capsys, monkeypatch, argv, entered):
     # a cap without its flag is entered at its default, read once per call
-    for cap in (ELEMENT_CAP, ORDER_CAP, CLOSURE_CAP):
+    for cap in (ELEMENT_CAP, ORDER_CAP, CLOSURE_CAP, RANK_CAP):
         monkeypatch.delenv(cap.env, raising=False)
     limit, calls = type(ELEMENT_CAP).limit, []
 
@@ -624,7 +630,7 @@ def test_a_call_reads_each_cap_variable_at_most_once(capsys, monkeypatch, elemen
         checks.append(cap.env)
         return check(cap, size, subject)
 
-    for cap in (ELEMENT_CAP, ORDER_CAP, CLOSURE_CAP):
+    for cap in (ELEMENT_CAP, ORDER_CAP, CLOSURE_CAP, RANK_CAP):
         monkeypatch.delenv(cap.env, raising=False)
     if element_cap is not None:
         monkeypatch.setenv(ELEMENT_CAP.env, element_cap)
@@ -664,9 +670,10 @@ def main_oracle(argv: list[str] | None = None) -> int:
     the words after the verb a second time."""
     args = cli.build_parser().parse_args(argv)
     command = getattr(cli, "_cmd_" + args.command.replace("-", "_"))
-    element, order, closure = (getattr(args, dest, None) for dest in ("element_cap", "order_cap", "closure_cap"))
+    element, order, closure, rank = (getattr(args, dest, None)
+                                     for dest in ("element_cap", "order_cap", "closure_cap", "rank_cap"))
     try:
-        with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure):
+        with ELEMENT_CAP.limit(element), ORDER_CAP.limit(order), CLOSURE_CAP.limit(closure), RANK_CAP.limit(rank):
             report = command(args)
     except FileFormatError as err:
         print(str(err), file=sys.stderr)

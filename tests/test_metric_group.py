@@ -373,6 +373,43 @@ def test_integer_evaluator_matches_fraction_oracle(form):
         assert Counter({v: c * ord_x for v, c in values.items()}) == Counter(q[y] for y in perp)
 
 
+# ------------------------------------------- Gauss sums of direct sums
+
+
+def plane(k: int, odd: bool) -> MetricGroup:
+    """On Z_{2^k}^2: U_k, q(x, y) = xy / 2^k, or V_k, q = (x^2 + xy + y^2) / 2^k,
+    the 2-adic blocks that no cyclic form splits off."""
+    d = 2**k
+    q = F(int(odd), d)
+    return metric_group((d, d), (q, q), {(0, 1): F(1, d)})
+
+
+# nondegenerate forms of order at most 16: random values with cross
+# terms over p = 2, 3, 5, 7 or mixed primes, and the planes U_k, V_k
+small_nondegenerate = st.one_of(
+    st.builds(plane, st.integers(1, 2), st.booleans()),
+    forms_with_cross_terms(max_size=16).map(lambda form: metric_group(*form)).filter(lambda mg: mg.nondegenerate),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_nondegenerate, min_size=2, max_size=3), st.booleans())
+def test_a_direct_sums_gauss_sum_is_its_enumerated_sum(pieces, nest_right):
+    # the product of the summands' sums against the enumerated sum of a
+    # group with the same orders, level and gram but no summands; three
+    # pieces nest as (a + b) + c or a + (b + c)
+    if nest_right and len(pieces) == 3:
+        total = direct_sum(pieces[0], direct_sum(pieces[1], pieces[2]))
+    else:
+        total = pieces[0]
+        for piece in pieces[1:]:
+            total = direct_sum(total, piece)
+    plain = MetricGroup(total.orders, total.level, total.gram, total.nondegenerate)
+    assert total.summands is not None and plain.summands is None
+    assert plain == total
+    assert gauss_sum(total) == gauss_sum(plain)
+
+
 # ------------------------------- integer constructors against the Fraction path
 
 

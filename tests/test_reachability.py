@@ -133,7 +133,8 @@ def golden_runs(tmp_path) -> list[tuple[str, list[str]]]:
              for case in json.loads((TESTS / "golden_invalid.json").read_text(encoding="utf-8"))]
     runs += [(CORPUS_DIR, argv) for argv in (["witt-class", "--element-cap", "64", "semion.mg"],
                                              ["witt-order", "--order-cap", "8", "semion.mg"],
-                                             ["witt-subgroup", "--closure-cap", "4", "semion.mg"])]
+                                             ["witt-subgroup", "--closure-cap", "4", "semion.mg"],
+                                             ["analyze", "--rank-cap", "8", "ising.fr"])]
     return runs
 
 
@@ -161,7 +162,7 @@ def reach(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("reach")
     runs = golden_runs(tmp_path) + pool_runs(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    for cap in ("FUSIONWITT_ELEMENT_CAP", "FUSIONWITT_ORDER_CAP", "FUSIONWITT_CLOSURE_CAP"):
+    for cap in ("FUSIONWITT_ELEMENT_CAP", "FUSIONWITT_ORDER_CAP", "FUSIONWITT_CLOSURE_CAP", "FUSIONWITT_RANK_CAP"):
         env.pop(cap, None)
     done = subprocess.run([sys.executable, "-c", PROFILED, str(PACKAGE_DIR)], input=json.dumps(runs), env=env,
                           capture_output=True, text=True, check=True)

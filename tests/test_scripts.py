@@ -1,4 +1,5 @@
-"""Smoke run of scripts/pool_outputs.py on a few jobs."""
+"""scripts/pool_outputs.py: a smoke run on a few jobs, and the digests of
+the seed-1 Witt pools pinned, so that a change to any Witt output fails."""
 
 import contextlib
 import hashlib
@@ -6,6 +7,8 @@ import importlib.util
 import io
 import re
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -47,3 +50,23 @@ def test_pool_outputs_prints_each_part_after_its_header(capsys, monkeypatch):
         assert capsys.readouterr().out.splitlines() == lines
     # the two parts are different pools
     assert both[1:3] != both[4:6]
+
+
+# sha256 of the whole stdout of `scripts/pool_outputs.py --workload W
+# --seed 1` (part 0): one digest line per job, so a change to any byte
+# of any job's output changes it.  Re-record a pin only with a change
+# that says why an output moved, or when bench/workloads.py changes the
+# pool itself.
+POOL_DIGESTS = {
+    "witt_closure": "690022e7b9c507e620da4d2311a074e2562c73276fb3cf389590ea6eb02294e3",
+    "witt_reduce": "3f99a7cc5f808e4def7772d05f1ae20a3614f9c1864e00b2c33c4cf06040d80e",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(POOL_DIGESTS))
+def test_witt_pool_outputs_are_pinned(capsys, workload):
+    module = load("pool_outputs")
+    assert module.main(["--workload", workload, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert all(" status=0 " in line for line in out.splitlines()[1:])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == POOL_DIGESTS[workload]

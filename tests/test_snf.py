@@ -144,6 +144,37 @@ def test_transforms_match_the_oracle(mat):
     assert smith_normal_form(mat) == smith_normal_form_oracle(mat)
 
 
+@st.composite
+def smith_form_inputs(draw):
+    """An r x c matrix, r and c in 0..4, already in Smith form: a divisor
+    chain on the diagonal, equal entries and a zero tail included, and
+    zero elsewhere, extra rows or columns too."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    diagonal, d = [], 1
+    for _ in range(min(r, c)):
+        # a factor 0 makes every later entry 0
+        d *= draw(st.sampled_from([0, 1, 1, 2, 3, 5]))
+        diagonal.append(d)
+    return [[diagonal[i] if i == j else 0 for j in range(c)] for i in range(r)]
+
+
+@settings(max_examples=300)
+@given(smith_form_inputs())
+def test_an_input_in_smith_form_matches_the_oracle(mat):
+    # the oracle eliminates; the package returns such an input with
+    # identity transforms at once
+    form = smith_normal_form(mat)
+    assert form == smith_normal_form_oracle(mat)
+    assert (form.u, form.v) == tuple(tuple(map(tuple, snf._identity(n))) for n in (len(mat), len(form.v)))
+
+
+@pytest.mark.parametrize("mat", [
+    [[-2]], [[0, 0], [0, 1]], [[2, 0], [0, -4]], [[1, 1], [0, 1]], [[1, 0], [0, 2], [0, 1]], [[4, 0], [0, 6]],
+], ids=["negative", "zero_first", "negative_later", "off_diagonal", "below_diagonal", "no_chain"])
+def test_an_input_nearly_in_smith_form_is_eliminated(mat):
+    assert smith_normal_form(mat) == smith_normal_form_oracle(mat)
+
+
 @pytest.mark.parametrize("mat,expected", [
     ([], SmithForm((), (), (), ())),
     ([[]], SmithForm((), ((1,),), (), ())),

@@ -437,10 +437,17 @@ def gauss_computations(monkeypatch):
     return count_calls(monkeypatch, MetricGroup.gauss, "func")
 
 
+def enumerated(sums):
+    """The groups of the recorded Gauss sums that enumerated their
+    elements: all but the direct sums, which multiply their summands'."""
+    return [mg for mg, in sums if mg.summands is None]
+
+
 def test_each_gauss_sum_makes_one_cyclotomic_product(monkeypatch, capsys):
-    # G**2 is the only product in Z[zeta] a sum takes; the seed-1
-    # witt_reduce benchmark pool, run as scripts/pool_outputs.py runs it,
-    # computes 381 sums
+    # G**2 is the only product in Z[zeta] an enumerated sum takes, and a
+    # direct sum's product of two sums takes none; the seed-1 witt_reduce
+    # benchmark pool, run as scripts/pool_outputs.py runs it, enumerates
+    # 284 sums
     spec = importlib.util.spec_from_file_location("pool_outputs", POOL_OUTPUTS)
     pool_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pool_outputs)
@@ -450,7 +457,7 @@ def test_each_gauss_sum_makes_one_cyclotomic_product(monkeypatch, capsys):
     header, *lines = capsys.readouterr().out.splitlines()
     assert header == "part 0"
     assert [line.split()[2] for line in lines] == ["status=0"] * 60
-    assert len(products) == len(sums) == 381
+    assert len(products) == len(enumerated(sums)) == 284
 
 
 CORPUS_2_GROUPS = (
@@ -490,11 +497,15 @@ def test_closure_multiplies_each_unordered_pair_once(monkeypatch, names, order, 
     ids=["z8_sixteenth", "hyperbolic3", "z4_eighth+z2z2_hyperbolic"],
 )
 def test_reduction_chain_computes_one_gauss_sum_per_group(monkeypatch, build):
+    # each group of the chain computes its sum once; a chain on a direct
+    # sum enumerates its quotients and the two summands, not the sum
     mg = build()
+    summands = mg.summands or ()
     sums = gauss_computations(monkeypatch)
     _, steps = anisotropic_reduction(mg)
     assert steps
-    assert len(sums) == len(steps) + 1
+    assert len(sums) == len(steps) + 1 + len(summands)
+    assert sum(g is mg for g in enumerated(sums)) == (0 if summands else 1)
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,9 @@ For each prime p, A ↦ (v_p(|A_p|) mod 2, Gauss argument of A_p) is a
 homomorphism on W_pt(p) that separates its classes: W_pt(2) is Z8 ⊕ Z2,
 and W_pt(p) is Z4 for p ≡ 3 mod 4 and Z2 ⊕ Z2 for p ≡ 1 mod 4
 (Drinfeld–Gelaki–Nikshych–Ostrik, arXiv:1009.2117).  These tests pin
-that the key agrees with the isomorphism search of class_eq and with the
-products of generated_subgroup, so equality and orders can be read off
-the key.
+that the package's class_key agrees with the isomorphism search of
+class_eq and with the products of generated_subgroup, so equality and
+orders can be read off the key.
 """
 
 from fractions import Fraction
@@ -18,23 +18,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_metric
 from fusionwitt.metric_group import metric_group
-from fusionwitt.witt import class_eq, generated_subgroup, pointed_witt_class
+from fusionwitt.witt import class_eq, class_key, generated_subgroup, pointed_witt_class
 
 F = Fraction
 
 
-def valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def witt_key(cls) -> dict[int, tuple[int, Fraction]]:
-    """Per prime part: (v_p(|rep|) mod 2, the Gauss argument of rep).  The
-    identity class has no parts, so its key is empty."""
-    return {p: (valuation(rep.size, p) % 2, rep.gauss.argument) for p, rep in cls.parts}
+    """class_key by prime: (v_p(|rep|) mod 2, the Gauss argument of rep).
+    The identity class has no parts, so its key is empty."""
+    return {p: (parity, argument) for p, parity, argument in class_key(cls)}
 
 
 def key_sum(k1, k2) -> dict[int, tuple[int, Fraction]]:

@@ -1,0 +1,98 @@
+"""Work counts as tier-1 checks: each row runs one CLI call and pins
+exact, deterministic counts of the work it does.
+
+Counts are taken by counting spies, so unlike wall times they compare
+across machines.  A change that lowers a layer's work re-records that
+row's counts in the same change and names the row in CHANGES.md; a
+change that raises them fails here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+
+from fusionwitt import cli, corpus, witt
+from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP
+from fusionwitt.cyclotomic import CycInt
+from fusionwitt.metric_group import MetricGroup
+
+
+def spy(monkeypatch, owner, name, record):
+    """Rebind owner.name to a wrapper that calls record(result, *args)
+    after each call."""
+    original = getattr(owner, name)
+
+    def counting(*args):
+        result = original(*args)
+        record(result, *args)
+        return result
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def witt_subgroup_work(monkeypatch, names) -> dict[str, int]:
+    """Run witt-subgroup on corpus forms and count its work:
+
+    * direct_sum_gauss_enumerated: Gauss sums of class_multiply's direct
+      sums that enumerated the direct sum's elements;
+    * class_multiply, class_eq, metric_iso: calls;
+    * cyclotomic_products: products in Z[zeta], one per enumerated sum.
+    """
+    for cap in (ELEMENT_CAP, CLOSURE_CAP):
+        monkeypatch.delenv(cap.env, raising=False)
+    counts = dict.fromkeys(("direct_sum_gauss_enumerated", "class_multiply", "class_eq", "metric_iso",
+                            "cyclotomic_products"), 0)
+    direct_sums, enumerated = [], []
+
+    def count(key):
+        return lambda *_: counts.__setitem__(key, counts[key] + 1)
+
+    spy(monkeypatch, witt, "direct_sum", lambda out, *_: direct_sums.append(out))
+    spy(monkeypatch, MetricGroup, "elements", lambda _, mg: enumerated.append(mg))
+    gauss = MetricGroup.gauss.func
+
+    def counting_gauss(mg):
+        before = len(enumerated)
+        result = gauss(mg)
+        if any(e is mg for e in enumerated[before:]) and any(d is mg for d in direct_sums):
+            counts["direct_sum_gauss_enumerated"] += 1
+        return result
+
+    monkeypatch.setattr(MetricGroup.gauss, "func", counting_gauss)
+    for name in ("class_multiply", "class_eq", "metric_iso"):
+        spy(monkeypatch, witt, name, count(name))
+    spy(monkeypatch, CycInt, "__mul__", count("cyclotomic_products"))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["witt-subgroup", "--format", "machine", *map(corpus.path, names)]) == 0
+    assert "subgroup_order=" in out.getvalue()
+    return counts
+
+
+CORPUS_2_GROUPS = ("semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_fermion.mg",
+                   "z2z2_hyperbolic.mg", "z4_eighth.mg", "z8_sixteenth.mg")
+CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
+
+# A closure of order n from g generators makes (n - 1) n / 2 products
+# and admits g + (n - 1) n / 2 classes.  An admission runs class_eq only
+# against earlier classes with its Gauss key, which separates classes, so
+# class_eq runs once per admission that finds its class: 7 + 120 - 15 =
+# 112 times on the 2-groups and 3 + 6 - 3 = 6 on the 3-groups, and
+# metric_iso once per part of those, none on the identity.  No direct
+# sum's Gauss sum is enumerated; the sums that are, one cyclotomic
+# product each, are the generators' and those of reduce_once's quotients.
+ROWS = [
+    ("witt-subgroup 2-groups", CORPUS_2_GROUPS,
+     {"direct_sum_gauss_enumerated": 0, "class_multiply": 120, "class_eq": 112, "metric_iso": 102,
+      "cyclotomic_products": 149}),
+    ("witt-subgroup 3-groups", CORPUS_3_GROUPS,
+     {"direct_sum_gauss_enumerated": 0, "class_multiply": 6, "class_eq": 6, "metric_iso": 3,
+      "cyclotomic_products": 9}),
+]
+
+
+@pytest.mark.parametrize("names,expected", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_work_counts(monkeypatch, names, expected):
+    assert witt_subgroup_work(monkeypatch, names) == expected
