@@ -10,8 +10,7 @@ The three layers:
   nilpotency.
 * ``metric_group`` / ``witt``: finite abelian groups with nondegenerate
   quadratic forms, exact cyclotomic Gauss sums, anisotropic reduction,
-  pointed Witt classes and the subgroups they generate, words with an
-  Ising factor (twice the Ising generator is the pointed [Z4, x^2/8]).
+  pointed Witt classes and the subgroups they generate.
 * ``classifier``: p^a q^b c factorization criteria for categorical
   dimensions, verdicts with witnesses, and exhaustive exception scans.
 
@@ -51,12 +50,10 @@ _EXPORTS = {
         ("fpdim", "FPDimData fp_dim_data simple_dims_prime_power"),
         ("fusion_ring", "FusionRing adjoint_subring invertibles nilpotency stabilizer subring_generated"
                         " tensor_square_check universal_grading validate_ring"),
-        ("metric_group", "GaussSum MetricGroup direct_sum gauss_sum inverse_form make_metric sylow_decompose"
-                         " validate_metric"),
-        ("witt", "IDENTITY_CLASS IDENTITY_WORD ISING_GENERATOR_WORD PointedWittClass WittSubgroup WittWord"
-                 " anisotropic_reduction class_eq class_inverse class_key class_multiply class_order"
-                 " from_ising_category generated_subgroup metric_iso pointed_witt_class reduce_once"
-                 " reduce_sylow_part word_compose word_eq word_inverse word_is_identity word_order"),
+        ("metric_group", "GaussSum MetricGroup direct_sum gauss_sum make_metric sylow_decompose validate_metric"),
+        ("witt", "IDENTITY_CLASS PointedWittClass WittSubgroup anisotropic_reduction class_eq class_key"
+                 " class_multiply class_order generated_subgroup metric_iso pointed_witt_class reduce_once"
+                 " reduce_sylow_part"),
     )
     for name in names.split()
 }

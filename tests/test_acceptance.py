@@ -18,6 +18,7 @@ from fusionwitt.arith import factorize
 from fusionwitt.classifier import VerdictKind
 from fusionwitt.fusion_ring import invertibles, stabilizer, tensor_square_check
 from fusionwitt.metric_group import direct_sum, gauss_sum
+from witt_words import ISING_GENERATOR_WORD, from_ising_category, word_order
 
 F = Fraction
 
@@ -90,13 +91,13 @@ def test_witt_subgroup_two_groups():
 
 @criterion("word group: generator order 16, odd exponents only")
 def test_word_group_structure():
-    assert witt.word_order(witt.ISING_GENERATOR_WORD) == 16
+    assert word_order(ISING_GENERATOR_WORD) == 16
     for e in range(16):
         if e % 2 == 1:
-            assert witt.from_ising_category(e).ising_exponent == e
+            assert from_ising_category(e).ising_exponent == e
         else:
             try:
-                witt.from_ising_category(e)
+                from_ising_category(e)
             except ValueError:
                 continue
             raise AssertionError(f"even exponent {e} accepted")

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 from test_cli import BROKEN_CONGRUENCE, BROKEN_Z2, NILPOTENT_Z3, UNEQUAL_GRADING
 from test_golden import CORPUS_DIR
+from test_trace_targets import load_tracer
 
 import fusionwitt
 from fusionwitt import corpus
@@ -53,20 +54,12 @@ ALLOWLIST = {
     "cli.parse_machine_value": README_API,
     "corpus.names": README_API,
     "corpus.path": README_API,
-    # the benchmark's tracer wraps it; it moves under tests/ once the
-    # tracer reads package spans instead
+    # the benchmark's tracer wraps these two; they move under tests/ once
+    # the tracer reads package spans instead
     "fpdim.charpoly": LEAVES_WITH_ITEM_7,
+    "metric_group.inverse_form": LEAVES_WITH_ITEM_7,
     # reduce_once's message for a nonzero q(x)
     "metric_group.MetricGroup.q": ERROR_PATH,
-    "metric_group.inverse_form": README_API,
-    "witt.class_inverse": README_API,
-    "witt.from_ising_category": README_API,
-    "witt.ising_square": README_API,
-    "witt.word_compose": README_API,
-    "witt.word_eq": README_API,
-    "witt.word_inverse": README_API,
-    "witt.word_is_identity": README_API,
-    "witt.word_order": README_API,
 }
 
 # the profiled process: reads [[cwd, argv], ...] on stdin, runs each
@@ -184,7 +177,11 @@ def test_no_allowlist_entry_is_stale(reach):
 
 def test_every_allowlist_entry_gives_one_known_reason():
     assert set(ALLOWLIST.values()) <= set(REASONS)
-    assert [name for name, reason in ALLOWLIST.items() if reason == LEAVES_WITH_ITEM_7] == ["fpdim.charpoly"]
+    leaving = [name for name, reason in ALLOWLIST.items() if reason == LEAVES_WITH_ITEM_7]
+    assert leaving == ["fpdim.charpoly", "metric_group.inverse_form"]
+    # each is kept only because the tracer wraps it
+    traced = {(module, attr) for _, module, attr in load_tracer().TARGETS}
+    assert [name for name in leaving if tuple(name.split(".", 1)) not in traced] == []
 
 
 def test_readme_library_api_names_every_readme_entry():

@@ -6,7 +6,8 @@ and W_pt(p) is Z4 for p ≡ 3 mod 4 and Z2 ⊕ Z2 for p ≡ 1 mod 4
 (Drinfeld–Gelaki–Nikshych–Ostrik, arXiv:1009.2117).  These tests pin
 that the package's class_key agrees with the isomorphism search of
 class_eq and with the products of generated_subgroup, so equality and
-orders can be read off the key.
+orders can be read off the key, and that the relation 2[Ising] =
+[Z4, x^2/8] of the Ising words holds on the keys.
 """
 
 from fractions import Fraction
@@ -18,7 +19,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_metric
 from fusionwitt.metric_group import metric_group
-from fusionwitt.witt import class_eq, class_key, generated_subgroup, pointed_witt_class
+from fusionwitt.witt import IDENTITY_CLASS, class_eq, class_key, class_multiply, generated_subgroup, pointed_witt_class
+from witt_words import WittWord, ising_square, word_is_identity
 
 F = Fraction
 
@@ -71,19 +73,24 @@ def test_keys_separate_every_class_and_add_under_products(p):
 @st.composite
 def p_group_forms(draw, p, max_size=32):
     """A nondegenerate form on 1-3 cyclic p-groups, each order dividing the
-    next, with random cross terms and |A| <= max_size."""
-    orders = [p ** draw(st.integers(1, 2))]
-    for _ in range(draw(st.integers(0, 2))):
-        d = orders[-1] * p ** draw(st.integers(0, 1))
-        if prod(orders) * d > max_size:
+    next, with random cross terms and |A| <= max_size.  At p = 2 three
+    plain draws in five are degenerate; they are drawn again, up to 8
+    times, before the example is discarded."""
+    for _ in range(8):
+        orders = [p ** draw(st.integers(1, 2))]
+        for _ in range(draw(st.integers(0, 2))):
+            d = orders[-1] * p ** draw(st.integers(0, 1))
+            if prod(orders) * d > max_size:
+                break
+            orders.append(d)
+        diag = [F(draw(st.integers(0, 2 * d - 1)), 2 * d) if p == 2 else F(draw(st.integers(0, d - 1)), d)
+                for d in orders]
+        # orders[i] divides orders[j], so it is their gcd
+        cross = {(i, j): F(draw(st.integers(0, orders[i] - 1)), orders[i])
+                 for i in range(len(orders)) for j in range(i + 1, len(orders))}
+        mg = metric_group(orders, diag, cross)
+        if mg.nondegenerate:
             break
-        orders.append(d)
-    diag = [F(draw(st.integers(0, 2 * d - 1)), 2 * d) if p == 2 else F(draw(st.integers(0, d - 1)), d)
-            for d in orders]
-    # orders[i] divides orders[j], so it is their gcd
-    cross = {(i, j): F(draw(st.integers(0, orders[i] - 1)), orders[i])
-             for i in range(len(orders)) for j in range(i + 1, len(orders))}
-    mg = metric_group(orders, diag, cross)
     assume(mg.nondegenerate)
     return mg
 
@@ -103,3 +110,20 @@ def test_key_equality_agrees_with_class_eq(case):
     assert sum(class_eq(a, c) for c in classes) == 1
     for c in (b, *classes):
         assert (witt_key(a) == witt_key(c)) == class_eq(a, c)
+
+
+def test_ising_relation_holds_on_the_keys():
+    # 2[Ising] = [Z4, x^2/8]: a word (c, e) is the identity exactly when e
+    # is even and the key of c + (e/2)[Z4, x^2/8], summed on the keys, is
+    # empty; c runs over the eight powers of the semion class
+    z4 = pointed_witt_class(load_metric("z4_eighth.mg"))
+    assert class_key(ising_square()) == class_key(z4)
+    semion, c, square = pointed_witt_class(load_metric("semion.mg")), IDENTITY_CLASS, witt_key(z4)
+    for _ in range(8):
+        for e in range(16):
+            key = witt_key(c)
+            for _ in range(e // 2):
+                key = key_sum(key, square)
+            assert word_is_identity(WittWord(pointed=c, ising_exponent=e)) == (e % 2 == 0 and key == {}), e
+        c = class_multiply(c, semion)
+    assert c.is_identity()

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import sys
 
 import pytest
 
 from fusionwitt import cli, corpus, witt
-from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP
+from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cyclotomic import CycInt
 from fusionwitt.metric_group import MetricGroup
 
@@ -33,6 +34,11 @@ def spy(monkeypatch, owner, name, record):
     monkeypatch.setattr(owner, name, counting)
 
 
+def tally(counts, key):
+    """A spy record that adds one to counts[key]."""
+    return lambda *_: counts.__setitem__(key, counts[key] + 1)
+
+
 def witt_subgroup_work(monkeypatch, names) -> dict[str, int]:
     """Run witt-subgroup on corpus forms and count its work:
 
@@ -46,10 +52,6 @@ def witt_subgroup_work(monkeypatch, names) -> dict[str, int]:
     counts = dict.fromkeys(("direct_sum_gauss_enumerated", "class_multiply", "class_eq", "metric_iso",
                             "cyclotomic_products"), 0)
     direct_sums, enumerated = [], []
-
-    def count(key):
-        return lambda *_: counts.__setitem__(key, counts[key] + 1)
-
     spy(monkeypatch, witt, "direct_sum", lambda out, *_: direct_sums.append(out))
     spy(monkeypatch, MetricGroup, "elements", lambda _, mg: enumerated.append(mg))
     gauss = MetricGroup.gauss.func
@@ -63,11 +65,41 @@ def witt_subgroup_work(monkeypatch, names) -> dict[str, int]:
 
     monkeypatch.setattr(MetricGroup.gauss, "func", counting_gauss)
     for name in ("class_multiply", "class_eq", "metric_iso"):
-        spy(monkeypatch, witt, name, count(name))
-    spy(monkeypatch, CycInt, "__mul__", count("cyclotomic_products"))
+        spy(monkeypatch, witt, name, tally(counts, name))
+    spy(monkeypatch, CycInt, "__mul__", tally(counts, "cyclotomic_products"))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["witt-subgroup", "--format", "machine", *map(corpus.path, names)]) == 0
     assert "subgroup_order=" in out.getvalue()
+    return counts
+
+
+def witt_order_work(monkeypatch, names) -> dict[str, int]:
+    """Run witt-order on one corpus form and count its work:
+
+    * class_multiply: calls, one per power class_order takes;
+    * isotropic_elements_visited: elements that isotropic_elements reads
+      from its groups' enumerations, over all its calls.
+    """
+    for cap in (ELEMENT_CAP, ORDER_CAP):
+        monkeypatch.delenv(cap.env, raising=False)
+    counts = {"class_multiply": 0, "isotropic_elements_visited": 0}
+    elements, scan = MetricGroup.elements, witt.isotropic_elements.__code__
+
+    def visit(x):
+        counts["isotropic_elements_visited"] += 1
+        return x
+
+    def counting_elements(mg):
+        # isotropic_elements calls elements() itself and reads it lazily
+        it = elements(mg)
+        return map(visit, it) if sys._getframe(1).f_code is scan else it
+
+    spy(monkeypatch, witt, "class_multiply", tally(counts, "class_multiply"))
+    monkeypatch.setattr(MetricGroup, "elements", counting_elements)
+    (name,) = names
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["witt-order", "--format", "machine", corpus.path(name)]) == 0
+    assert "witt_order=" in out.getvalue()
     return counts
 
 
@@ -83,16 +115,24 @@ CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
 # metric_iso once per part of those, none on the identity.  No direct
 # sum's Gauss sum is enumerated; the sums that are, one cyclotomic
 # product each, are the generators' and those of reduce_once's quotients.
+#
+# class_order multiplies c into its power until the power is the
+# identity, so a class of order n takes n - 1 class_multiply calls.  The
+# reductions of the input and of every product scan each group they pass
+# up to its first isotropic element, and the anisotropic one they end on
+# through to its last element.
 ROWS = [
-    ("witt-subgroup 2-groups", CORPUS_2_GROUPS,
+    ("witt-subgroup 2-groups", witt_subgroup_work, CORPUS_2_GROUPS,
      {"direct_sum_gauss_enumerated": 0, "class_multiply": 120, "class_eq": 112, "metric_iso": 102,
       "cyclotomic_products": 149}),
-    ("witt-subgroup 3-groups", CORPUS_3_GROUPS,
+    ("witt-subgroup 3-groups", witt_subgroup_work, CORPUS_3_GROUPS,
      {"direct_sum_gauss_enumerated": 0, "class_multiply": 6, "class_eq": 6, "metric_iso": 3,
       "cyclotomic_products": 9}),
+    ("witt-order semion", witt_order_work, ("semion.mg",), {"class_multiply": 7, "isotropic_elements_visited": 65}),
+    ("witt-order z3_third", witt_order_work, ("z3_third.mg",), {"class_multiply": 3, "isotropic_elements_visited": 35}),
 ]
 
 
-@pytest.mark.parametrize("names,expected", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
-def test_work_counts(monkeypatch, names, expected):
-    assert witt_subgroup_work(monkeypatch, names) == expected
+@pytest.mark.parametrize("work,names,expected", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_work_counts(monkeypatch, work, names, expected):
+    assert work(monkeypatch, names) == expected
