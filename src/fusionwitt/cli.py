@@ -56,8 +56,9 @@ def _convert(kind, words, error: str) -> list:
         raise FileFormatError(error) from None
 
 
-def parse_ring_file(path: str) -> fusion_ring.FusionRing:
-    """Read a fusion ring file; structural validation is separate.
+def parse_ring_file(path: str, lines=None) -> fusion_ring.FusionRing:
+    """Read a fusion ring file, or its lines if _read_lines has already
+    read them; structural validation is separate.
 
     Format: 'rank r', 'labels l0 ... l{r-1}', 'dual p0 ... p{r-1}'
     (a 0-based permutation), then one 'N i j k m' line per nonzero
@@ -65,7 +66,7 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
     rank is checked against the rank cap before the labels are read
     and the dense r x r x r table is built.
     """
-    lines = _read_lines(path)
+    lines = _read_lines(path) if lines is None else lines
     if len(lines) < 3:
         raise FileFormatError(f"{path}: expected rank, labels and dual lines")
     (ln_rank, rank_line), (ln_lab, label_line), (ln_dual, dual_line) = lines[:3]
@@ -106,13 +107,14 @@ def parse_ring_file(path: str) -> fusion_ring.FusionRing:
     )
 
 
-def parse_metric_file(path: str) -> tuple[tuple[int, ...], list[Fraction], dict]:
-    """Read a metric group file into raw (orders, diag, cross) data.
+def parse_metric_file(path: str, lines=None) -> tuple[tuple[int, ...], list[Fraction], dict]:
+    """Read a metric group file, or its lines if _read_lines has already
+    read them, into raw (orders, diag, cross) data.
 
     Format: 'orders d1 ... dk', 'q v1 ... vk' with exact fractions, and
     optional 'b i j v' cross terms with 1-based i < j.
     """
-    lines = _read_lines(path)
+    lines = _read_lines(path) if lines is None else lines
     if len(lines) < 2:
         raise FileFormatError(f"{path}: expected orders and q lines")
     (ln_ord, order_line), (ln_q, q_line) = lines[:2]
@@ -228,8 +230,8 @@ class Report:
 # ---------------------------------------------------------------- helpers
 
 
-def _sniff_kind(path: str) -> str:
-    lines = _read_lines(path)
+def _sniff_kind(path: str, lines) -> str:
+    """'ring' or 'metric', from the first content line of the file."""
     first = lines[0][1] if lines else ""
     if first.startswith("rank"):
         return "ring"
@@ -306,12 +308,13 @@ def _class_section(report: Report, cls: witt.PointedWittClass) -> None:
 
 
 def _cmd_validate(args) -> Report:
-    kind = _sniff_kind(args.file)
+    lines = _read_lines(args.file)
+    kind = _sniff_kind(args.file, lines)
     report = Report(f"validate {args.file}", kind=kind)
     if kind == "ring":
-        violations = fusion_ring.validate_ring(parse_ring_file(args.file))
+        violations = fusion_ring.validate_ring(parse_ring_file(args.file, lines))
     else:
-        orders, diag, cross = parse_metric_file(args.file)
+        orders, diag, cross = parse_metric_file(args.file, lines)
         violations = metric_group.validate_metric(orders, diag, cross)
     _violations(report, violations, "violations", listed=True)
     if violations:

@@ -241,10 +241,10 @@ def gauss_sum(mg: MetricGroup) -> GaussSum:
 
 
 def _restricted(ambient: MetricGroup, orders, gens) -> MetricGroup:
-    """The form of ambient read off gens, taken as generators of these orders."""
-    rows = [ambient.pairing_row(h) for h in gens]
-    gram = [[2 * ambient.value(h) if i == j else sum(map(mul, row, h)) for j, h in enumerate(gens)] for i, row in enumerate(rows)]
-    return _metric(orders, ambient.level, gram)
+    """The form of ambient read off gens, taken as generators of these
+    orders: the Gram matrix H G H^T of the rows h of gens, whose entries
+    _metric reduces mod the level."""
+    return _metric(orders, ambient.level, mat_mul(mat_mul(gens, ambient.gram), list(zip(*gens))))
 
 
 def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], relations: list[list[int]], expected_size: int) -> MetricGroup:
@@ -287,8 +287,8 @@ def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     gram += tuple((0,) * ka + tuple(sb * c for c in row) for row in b.gram)
     # block object used only as an evaluation ambient; orders need not chain
     ambient = MetricGroup(orders, L, gram, a.nondegenerate and b.nondegenerate)
-    gens = [tuple(int(i == t) for i in range(k)) for t in range(k)]
-    relations = [[orders[t] if i == t else 0 for i in range(k)] for t in range(k)]
+    gens = [(0,) * t + (1,) + (0,) * (k - 1 - t) for t in range(k)]
+    relations = [[d * x for x in h] for d, h in zip(orders, gens)]
     out = _metric_from_generators(ambient, gens, relations, a.size * b.size)
     if out.nondegenerate != (a.nondegenerate and b.nondegenerate):
         raise ConsistencyError("degeneracy not preserved by direct sum")

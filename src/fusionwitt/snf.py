@@ -6,22 +6,33 @@ generators h_j = sum_i Vinv[j][i] g_i whose only relations are
 s_j h_j = 0 with s_1 | s_2 | ... ascending.  lattice_index needs no
 transforms: it gives the index of a row lattice plus modulus Z^c, from
 which metric groups decide nondegeneracy.  All arithmetic is exact.
+A diagonal input that permutes into a divisor chain is not eliminated,
+and mat_mul skips zero coefficients, most entries of the transforms here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_mul(a, b) -> list[list[int]]:
-    """a @ b for integer matrices given as sequences of rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """a @ b for integer matrices given as sequences of rows: row i is
+    the sum of the rows of b weighted by row i of a, and a zero weight
+    costs nothing."""
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                scaled = brow if x == 1 else [x * y for y in brow]
+                acc = list(scaled) if acc is None else list(map(add, acc, scaled))
+        out.append([0] * (len(b[0]) if b else 0) if acc is None else acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,12 +54,12 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     column operation on the columns of [M ; V] and inversely on the rows
     of V**-1, so U @ mat @ V is the working M throughout.
 
-    An input already in Smith form (zero off the diagonal, a nonnegative
-    divisor chain on it, zeros last) comes back with identity transforms
-    and no elimination: with U = V = I those conditions are exactly what
-    _verify proves, and the elimination would pick each diagonal entry
-    as its pivot in place and change nothing.  direct_sum's diagonal
-    relations are such inputs.
+    A diagonal input whose pivots form a nonnegative divisor chain, as
+    direct_sum's same-prime relations (4, 2, 2) do, is not eliminated:
+    the elimination would only swap each pivot, the smallest nonzero
+    |entry| at or past step t (the first on ties), into place by a row
+    and a column swap, with nothing to clear, negate or repair, so U and
+    V**-1 are one permutation P of the identity rows and V = P^T.
 
     >>> f = smith_normal_form([[2, 0], [0, 3]])
     >>> f.diagonal
@@ -56,10 +67,9 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     """
     r = len(mat)
     c = len(mat[0]) if r else 0
-    diagonal = tuple(mat[i][i] for i in range(min(r, c)))
-    if _is_smith(mat, diagonal):
-        eye = tuple(map(tuple, _identity(c)))
-        return SmithForm(diagonal=diagonal, u=tuple(map(tuple, _identity(r))), v=eye, v_inv=eye)
+    form = _diagonal_form(mat, r, c)
+    if form is not None:
+        return form
     a = [[*row, *e] for row, e in zip(mat, _identity(r))]
     v = _identity(c)
     vinv = _identity(c)
@@ -73,16 +83,16 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     def add_col(i, j, t):
         # col j += t * col i; inverse op on vinv rows: row i -= t * row j
         for row in stacked:
-            row[j] += t * row[i]
-        for k in range(c):
-            vinv[i][k] -= t * vinv[j][k]
+            if row[i]:
+                row[j] += t * row[i]
+        vinv[i] = [x - t * y for x, y in zip(vinv[i], vinv[j])]
 
     def min_entry(t):
-        best = None
+        best, least = None, 0
         for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+            for j, x in enumerate(a[i][t:c], t):
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
         return best
 
     t = 0
@@ -130,12 +140,21 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     return form
 
 
-def _is_smith(mat: list[list[int]], diagonal: tuple[int, ...]) -> bool:
-    """Whether mat is zero off its diagonal, which is a nonnegative
-    chain d_0 | d_1 | ... with any zeros at its end."""
-    if any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
-        return False
-    return all(d1 >= 0 and (d1 % d0 == 0 if d0 else not d1) for d0, d1 in zip((1, *diagonal), diagonal))
+def _diagonal_form(mat: list[list[int]], r: int, c: int) -> SmithForm | None:
+    """The Smith form of mat by the elimination's swaps alone; None if mat
+    is not diagonal or its pivots are not a nonnegative divisor chain."""
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(mat)):
+        return None
+    d = [mat[i][i] for i in range(min(r, c))]
+    perm, keys = list(range(max(r, c))), [(x == 0, abs(x)) for x in d]
+    for t in range(len(d)):
+        i = keys.index(min(keys[t:]), t)
+        for seq in (d, keys, perm):
+            seq[t], seq[i] = seq[i], seq[t]
+    if not all(d1 >= 0 and (d1 % d0 == 0 if d0 else not d1) for d0, d1 in zip((1, *d), d)):
+        return None
+    u, v_inv = (tuple((0,) * p + (1,) + (0,) * (m - 1 - p) for p in perm[:m]) for m in (r, c))
+    return SmithForm(diagonal=tuple(d), u=u, v=tuple(zip(*v_inv)), v_inv=v_inv)
 
 
 def _verify(mat: list[list[int]], form: SmithForm) -> None:

@@ -236,6 +236,16 @@ def test_validate_invalid_metric_exits_one(tmp_path, capsys):
     assert "congruence" in out
 
 
+@pytest.mark.parametrize("name", ["d_s3.fr", "semion.mg"])
+def test_validate_reads_its_file_once(capsys, monkeypatch, name):
+    # the kind is sniffed from the lines the parser then reads
+    reads = []
+    read_lines = cli._read_lines
+    monkeypatch.setattr(cli, "_read_lines", lambda path: reads.append(path) or read_lines(path))
+    assert run_cli(capsys, "validate", corpus.path(name))[0] == 0
+    assert reads == [corpus.path(name)]
+
+
 def test_syntax_error_exits_two(tmp_path, capsys):
     path = write(tmp_path, "bad.fr", "rank x\nlabels a\ndual 0\n")
     code, _, err = run_cli(capsys, "validate", path)

@@ -172,7 +172,80 @@ def test_an_input_in_smith_form_matches_the_oracle(mat):
     [[-2]], [[0, 0], [0, 1]], [[2, 0], [0, -4]], [[1, 1], [0, 1]], [[1, 0], [0, 2], [0, 1]], [[4, 0], [0, 6]],
 ], ids=["negative", "zero_first", "negative_later", "off_diagonal", "below_diagonal", "no_chain"])
 def test_an_input_nearly_in_smith_form_is_eliminated(mat):
+    # all but zero_first are eliminated; zero_first permutes into a chain
+    # and takes the diagonal shortcut, whose swaps are the elimination's
     assert smith_normal_form(mat) == smith_normal_form_oracle(mat)
+
+
+@st.composite
+def diagonal_inputs(draw):
+    """A square diagonal matrix, n in 0..5: a divisor chain with equal
+    entries and zeros, in any order (e.g. (4, 4, 2) or (0, 2)), and in
+    half the draws one entry negated or replaced so that the entries no
+    longer permute into a chain (e.g. (4, 6) or (2, 3))."""
+    n = draw(st.integers(0, 5))
+    chain, d = [], 1
+    for _ in range(n):
+        d *= draw(st.sampled_from([0, 1, 1, 2, 2, 3]))
+        chain.append(d)
+    entries = draw(st.permutations(chain))
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        entries[i] = draw(st.sampled_from([-entries[i], 3, 5, 6]))
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=400)
+@given(diagonal_inputs())
+def test_a_diagonal_input_matches_the_oracle(mat):
+    assert smith_normal_form(mat) == smith_normal_form_oracle(mat)
+
+
+@pytest.mark.parametrize("entries,eliminated", [
+    ((4, 4, 2), False), ((4, 2, 2), False), ((0, 2, 0, 1), False), ((2, 2), False),
+    ((4, 6), True), ((2, 3), True), ((2, -4), True), ((-1, 0), True),
+])
+def test_the_diagonal_shortcut_permutes_a_chain_and_eliminates_the_rest(monkeypatch, entries, eliminated):
+    verified = []
+    monkeypatch.setattr(snf, "_verify", lambda *args: verified.append(args))
+    n = len(entries)
+    mat = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    form = smith_normal_form(mat)
+    assert form == smith_normal_form_oracle(mat)
+    assert bool(verified) == eliminated
+    if not eliminated:
+        assert form.v == tuple(zip(*form.u)) and form.v_inv == form.u
+
+
+def dense_product(a, b):
+    """a @ b entry by entry, with as many columns as b has."""
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
+
+
+def shaped(rows, cols, entries):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=300)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.sampled_from([
+    st.just(0), st.sampled_from([0, 0, 0, 1, -1, 2]), st.integers(-9, 9),
+])).flatmap(lambda s: st.tuples(shaped(s[0], s[1], s[3]), shaped(s[1], s[2], s[3]))))
+def test_mat_mul_matches_a_dense_product(pair):
+    # all-zero, mostly-zero and dense entries, zero rows and columns too
+    a, b = pair
+    assert mat_mul(a, b) == dense_product(a, b)
+
+
+@pytest.mark.parametrize("a,b,expected", [
+    ([], [], []), ([], [[1, 2]], []), ([[]], [], [[]]), ([[], []], [], [[], []]),
+    ([[0, 0]], [[1, 2, 3], [4, 5, 6]], [[0, 0, 0]]), ([[1], [2]], [[]], [[], []]),
+    ([[1, 2], [3, 4]], [[5, 6], [7, 8]], [[19, 22], [43, 50]]),
+], ids=["empty", "no_rows", "one_empty_row", "two_empty_rows", "zero_row", "zero_columns", "dense"])
+def test_mat_mul_shapes(a, b, expected):
+    out = mat_mul(a, b)
+    assert out == expected == dense_product(a, b)
+    assert len({id(row) for row in out}) == len(out)  # no row is shared
 
 
 @pytest.mark.parametrize("mat,expected", [
@@ -186,7 +259,10 @@ def test_an_input_nearly_in_smith_form_is_eliminated(mat):
     ([[6, 4], [4, 6]], SmithForm((2, 10), ((1, 0), (1, 1)), ((1, -2), (-1, 3)), ((3, 2), (1, 1)))),
     # a column swap to reach the pivot, then a negated row
     ([[0, -2]], SmithForm((2,), ((-1,),), ((0, 1), (1, 0)), ((0, 1), (1, 0)))),
-], ids=["no_rows", "no_columns", "two_rows_no_columns", "repair", "dirty", "dirty_6_4", "swap_negate"])
+    # swaps only, and not a stable sort: 2 swaps with the first 4, so the
+    # pivots come from entries 2, 1, 0
+    ([[4, 0, 0], [0, 4, 0], [0, 0, 2]], SmithForm((2, 4, 4), *[((0, 0, 1), (0, 1, 0), (1, 0, 0))] * 3)),
+], ids=["no_rows", "no_columns", "two_rows_no_columns", "repair", "dirty", "dirty_6_4", "swap_negate", "equal_entries"])
 def test_pinned_transforms(mat, expected):
     assert smith_normal_form_oracle(mat) == expected
     assert smith_normal_form(mat) == expected

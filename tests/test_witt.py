@@ -357,9 +357,10 @@ def closure_oracle(generators) -> WittSubgroup:
 
 @st.composite
 def cyclic_forms(draw, p, k):
-    """A nondegenerate form on Z_{p^k}."""
+    """A nondegenerate form on Z_{p^k}: the unit u = p q + r, 0 < r < p,
+    is drawn as the pair (q, r), with no filter."""
     den = 2 * p**k if p == 2 else p**k
-    u = draw(st.integers(1, den - 1).filter(lambda u: u % p))
+    u = p * draw(st.integers(0, den // p - 1)) + draw(st.integers(1, p - 1))
     return metric_group((p**k,), (F(u, den),))
 
 

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from fusionwitt import cli, corpus, witt
+from fusionwitt import cli, corpus, snf, witt
 from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cyclotomic import CycInt
 from fusionwitt.metric_group import MetricGroup
@@ -73,6 +73,42 @@ def witt_subgroup_work(monkeypatch, names) -> dict[str, int]:
     return counts
 
 
+def witt_subgroup_smith_work(monkeypatch, names) -> dict[str, int]:
+    """Run witt-subgroup on corpus forms and count its Smith forms:
+
+    * smith_normal_form: calls;
+    * smith_eliminations: calls that eliminate, each ending in one
+      _verify; a diagonal input whose entries permute into a divisor
+      chain takes none;
+    * direct_sum_eliminations: those made inside class_multiply's
+      direct sums.
+    """
+    for cap in (ELEMENT_CAP, CLOSURE_CAP):
+        monkeypatch.delenv(cap.env, raising=False)
+    counts = dict.fromkeys(("smith_normal_form", "smith_eliminations", "direct_sum_eliminations"), 0)
+    depth = []
+    direct_sum = witt.direct_sum
+
+    def tracked(*args):
+        depth.append(None)
+        try:
+            return direct_sum(*args)
+        finally:
+            depth.pop()
+
+    def eliminated(*_):
+        counts["smith_eliminations"] += 1
+        counts["direct_sum_eliminations"] += bool(depth)
+
+    monkeypatch.setattr(witt, "direct_sum", tracked)
+    spy(monkeypatch, snf, "smith_normal_form", tally(counts, "smith_normal_form"))
+    spy(monkeypatch, snf, "_verify", eliminated)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["witt-subgroup", "--format", "machine", *map(corpus.path, names)]) == 0
+    assert "subgroup_order=" in out.getvalue()
+    return counts
+
+
 def witt_order_work(monkeypatch, names) -> dict[str, int]:
     """Run witt-order on one corpus form and count its work:
 
@@ -116,6 +152,12 @@ CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
 # sum's Gauss sum is enumerated; the sums that are, one cyclotomic
 # product each, are the generators' and those of reduce_once's quotients.
 #
+# Each direct sum takes one Smith form, of its diagonal relations: the
+# summands' orders, powers of one prime, which permute into a divisor
+# chain and so are not eliminated.  Each reduce_once takes three, two
+# kernels and a rebase, and all of them are eliminated: 120 direct sums
+# and 142 reductions on the 2-groups, 6 and 6 on the 3-groups.
+#
 # class_order multiplies c into its power until the power is the
 # identity, so a class of order n takes n - 1 class_multiply calls.  The
 # reductions of the input and of every product scan each group they pass
@@ -128,6 +170,10 @@ ROWS = [
     ("witt-subgroup 3-groups", witt_subgroup_work, CORPUS_3_GROUPS,
      {"direct_sum_gauss_enumerated": 0, "class_multiply": 6, "class_eq": 6, "metric_iso": 3,
       "cyclotomic_products": 9}),
+    ("witt-subgroup 2-groups smith", witt_subgroup_smith_work, CORPUS_2_GROUPS,
+     {"smith_normal_form": 546, "smith_eliminations": 426, "direct_sum_eliminations": 0}),
+    ("witt-subgroup 3-groups smith", witt_subgroup_smith_work, CORPUS_3_GROUPS,
+     {"smith_normal_form": 24, "smith_eliminations": 18, "direct_sum_eliminations": 0}),
     ("witt-order semion", witt_order_work, ("semion.mg",), {"class_multiply": 7, "isotropic_elements_visited": 65}),
     ("witt-order z3_third", witt_order_work, ("z3_third.mg",), {"class_multiply": 3, "isotropic_elements_visited": 35}),
 ]
