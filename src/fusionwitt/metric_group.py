@@ -30,7 +30,7 @@ from .arith import factorize
 from .caps import ELEMENT_CAP
 from .cyclotomic import CycInt
 from .errors import ConsistencyError, ValidationError, Violation
-from .snf import lattice_index, mat_mul, rebase_presentation
+from .snf import lattice_index, mat_mul, pivot_order, rebase_presentation
 
 
 @dataclass(frozen=True)
@@ -271,12 +271,15 @@ def _metric_from_generators(ambient: MetricGroup, gens: list[tuple[int, ...]], r
 def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     """Orthogonal direct sum, re-expressed in invariant-factor form.
 
-    The block group (orders of a, then of b, cross terms zero between
-    blocks) is rebased through the Smith normal form of its relation
-    matrix, so e.g. Z_2 + Z_3 comes out as Z_6 with the form carried to
-    the new generator.  The result keeps a and b as its summands, so its
-    Gauss sum, when asked for, is the product of theirs and no element
-    of the sum is enumerated for it.
+    The block group has the orders of a, then of b, and no cross terms
+    between the blocks.  If those orders permute into a divisor chain, as
+    two p-groups' do, the sum is the block form with its generators in
+    snf.pivot_order, the Smith form's own choice, and no Smith form is
+    made; otherwise the block group is rebased through the Smith normal
+    form of its relations, so e.g. Z_2 + Z_3 comes out as Z_6.  The
+    result keeps a and b as its summands, so its Gauss sum, when asked
+    for, is the product of theirs and no element of the sum is
+    enumerated for it.
     """
     orders = a.orders + b.orders
     k = len(orders)
@@ -285,11 +288,16 @@ def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     sa, sb = L // a.level, L // b.level
     gram = tuple(tuple(sa * c for c in row) + (0,) * (k - ka) for row in a.gram)
     gram += tuple((0,) * ka + tuple(sb * c for c in row) for row in b.gram)
-    # block object used only as an evaluation ambient; orders need not chain
-    ambient = MetricGroup(orders, L, gram, a.nondegenerate and b.nondegenerate)
-    gens = [(0,) * t + (1,) + (0,) * (k - 1 - t) for t in range(k)]
-    relations = [[d * x for x in h] for d, h in zip(orders, gens)]
-    out = _metric_from_generators(ambient, gens, relations, a.size * b.size)
+    perm = pivot_order(orders)
+    chain = [orders[i] for i in perm]
+    if all(d1 % d0 == 0 for d0, d1 in zip(chain, chain[1:])):
+        out = _metric(chain, L, [[gram[i][j] for j in perm] for i in perm])
+    else:
+        # block object used only as an evaluation ambient; orders need not chain
+        ambient = MetricGroup(orders, L, gram, a.nondegenerate and b.nondegenerate)
+        gens = [(0,) * t + (1,) + (0,) * (k - 1 - t) for t in range(k)]
+        relations = [[d * x for x in h] for d, h in zip(orders, gens)]
+        out = _metric_from_generators(ambient, gens, relations, a.size * b.size)
     if out.nondegenerate != (a.nondegenerate and b.nondegenerate):
         raise ConsistencyError("degeneracy not preserved by direct sum")
     return replace(out, summands=(a, b))

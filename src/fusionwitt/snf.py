@@ -6,8 +6,7 @@ generators h_j = sum_i Vinv[j][i] g_i whose only relations are
 s_j h_j = 0 with s_1 | s_2 | ... ascending.  lattice_index needs no
 transforms: it gives the index of a row lattice plus modulus Z^c, from
 which metric groups decide nondegeneracy.  All arithmetic is exact.
-A diagonal input that permutes into a divisor chain is not eliminated,
-and mat_mul skips zero coefficients, most entries of the transforms here.
+mat_mul skips zero coefficients, most entries of the transforms here.
 """
 
 from __future__ import annotations
@@ -54,22 +53,12 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     column operation on the columns of [M ; V] and inversely on the rows
     of V**-1, so U @ mat @ V is the working M throughout.
 
-    A diagonal input whose pivots form a nonnegative divisor chain, as
-    direct_sum's same-prime relations (4, 2, 2) do, is not eliminated:
-    the elimination would only swap each pivot, the smallest nonzero
-    |entry| at or past step t (the first on ties), into place by a row
-    and a column swap, with nothing to clear, negate or repair, so U and
-    V**-1 are one permutation P of the identity rows and V = P^T.
-
     >>> f = smith_normal_form([[2, 0], [0, 3]])
     >>> f.diagonal
     (1, 6)
     """
     r = len(mat)
     c = len(mat[0]) if r else 0
-    form = _diagonal_form(mat, r, c)
-    if form is not None:
-        return form
     a = [[*row, *e] for row, e in zip(mat, _identity(r))]
     v = _identity(c)
     vinv = _identity(c)
@@ -140,21 +129,18 @@ def smith_normal_form(mat: list[list[int]]) -> SmithForm:
     return form
 
 
-def _diagonal_form(mat: list[list[int]], r: int, c: int) -> SmithForm | None:
-    """The Smith form of mat by the elimination's swaps alone; None if mat
-    is not diagonal or its pivots are not a nonnegative divisor chain."""
-    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(mat)):
-        return None
-    d = [mat[i][i] for i in range(min(r, c))]
-    perm, keys = list(range(max(r, c))), [(x == 0, abs(x)) for x in d]
-    for t in range(len(d)):
+def pivot_order(diagonal) -> list[int]:
+    """The order in which the elimination takes the entries of a diagonal
+    as pivots: at step t the smallest nonzero |entry| at or past t, the
+    first in the current order on ties, is swapped into place, and zeros
+    come last.  Not a stable sort: (4, 4, 2) is taken as entries 2, 1, 0.
+    """
+    perm, keys = list(range(len(diagonal))), [(x == 0, abs(x)) for x in diagonal]
+    for t in range(len(keys)):
         i = keys.index(min(keys[t:]), t)
-        for seq in (d, keys, perm):
+        for seq in (keys, perm):
             seq[t], seq[i] = seq[i], seq[t]
-    if not all(d1 >= 0 and (d1 % d0 == 0 if d0 else not d1) for d0, d1 in zip((1, *d), d)):
-        return None
-    u, v_inv = (tuple((0,) * p + (1,) + (0,) * (m - 1 - p) for p in perm[:m]) for m in (r, c))
-    return SmithForm(diagonal=tuple(d), u=u, v=tuple(zip(*v_inv)), v_inv=v_inv)
+    return perm
 
 
 def _verify(mat: list[list[int]], form: SmithForm) -> None:

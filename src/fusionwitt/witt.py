@@ -3,11 +3,13 @@
 The class of a nondegenerate metric group is represented by its
 completely anisotropic Sylow parts: reduce_once quotients x-perp by the
 first isotropic x in element order, reading x-perp and the quotient off
-integer lattices rather than the group's elements, and uniqueness of the
-anisotropic kernel makes class equality decidable by exact isomorphism
-search on the representatives.  Only pointed classes are represented;
-the tests check the relation 2[Ising] = [Z4, x^2/8] that joins them to
-the Ising classes.
+integer lattices rather than the group's elements.  Class equality is
+equality of class_key, per prime the parity of v_p(|rep|) and the Gauss
+argument of rep, which separates the classes of W_pt(p); metric_iso,
+the exact isomorphism search on representatives, is kept for the tests
+that check this and for the benchmark's tracer.  Only pointed classes
+are represented; the tests check the relation 2[Ising] = [Z4, x^2/8]
+that joins them to the Ising classes.
 """
 
 from __future__ import annotations
@@ -175,6 +177,9 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
 
     Exhaustive backtracking over generator images, pruned by order,
     q value, and pairwise cross terms; None when no isomorphism exists.
+    tries[i] walks the elements of b as candidate images of generator i,
+    the images of the generators before it being fixed, and rows holds
+    their pairing rows in b.
     """
     if a.orders != b.orders:
         return None
@@ -184,34 +189,31 @@ def metric_iso(a: MetricGroup, b: MetricGroup) -> list[tuple[int, ...]] | None:
         return None
     if not a.orders:
         return []
-    return _extend(a, b, list(b.elements()), [], [])
-
-
-def _extend(a: MetricGroup, b: MetricGroup, belems: list[tuple[int, ...]], images: list[tuple[int, ...]],
-            rows: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
-    """metric_iso's search: the images of a's first len(images)
-    generators are fixed, rows are their pairing rows in b, and the next
-    generator tries every element of belems.  A module-level function,
-    so that the recursion builds no closure that refers to itself."""
-    i = len(images)
-    if i == len(a.orders):
-        # the images generate b when their combinations reach every element
-        cols = list(zip(*images))
-        seen = {tuple(sum(map(mul, coeffs, col)) % d for col, d in zip(cols, b.orders)) for coeffs in a.elements()}
-        return list(images) if len(seen) == b.size else None
-    # the levels are equal, so values and pairings compare in units of 1/L
-    want, L, n = a.gram[i], a.level, a.orders[i]
-    for y in belems:
+    belems = list(b.elements())
+    images, rows, tries = [], [], [iter(belems)]
+    while tries:
+        i = len(images)
+        # the levels are equal, so values and pairings compare in units of 1/L
+        want, L, n = a.gram[i], a.level, a.orders[i]
         # the image of a generator of order n has order dividing n
-        if any(n * c % d for c, d in zip(y, b.orders)):
-            continue
-        if b.value(y) != want[i] // 2:
-            continue
-        if any(sum(map(mul, rows[j], y)) % L != want[j] for j in range(i)):
-            continue
-        found = _extend(a, b, belems, images + [y], rows + [b.pairing_row(y)])
-        if found is not None:
-            return found
+        y = next((y for y in tries[-1] if not any(n * c % d for c, d in zip(y, b.orders))
+                  and b.value(y) == want[i] // 2
+                  and all(sum(map(mul, rows[j], y)) % L == want[j] for j in range(i))), None)
+        if y is None:
+            tries.pop()
+            if images:
+                images.pop()
+                rows.pop()
+        elif i + 1 < len(a.orders):
+            images.append(y)
+            rows.append(b.pairing_row(y))
+            tries.append(iter(belems))
+        else:
+            # the images generate b when their combinations reach every element
+            cols = list(zip(*images, y))
+            seen = {tuple(sum(map(mul, coeffs, col)) % d for col, d in zip(cols, b.orders)) for coeffs in a.elements()}
+            if len(seen) == b.size:
+                return images + [y]
     return None
 
 
@@ -221,19 +223,18 @@ def class_key(c: PointedWittClass) -> tuple[tuple[int, int, Fraction], ...]:
 
     Both entries are Witt invariants, since a reduction step divides |A|
     by a square and keeps the argument, and isometric parts share them.
-    So two classes with different keys are never class_eq, and
-    class_eq need only compare classes with equal keys.  The key also
-    separates the classes of W_pt(p) (Drinfeld-Gelaki-Nikshych-Ostrik,
-    arXiv:1009.2117); nothing here relies on that.
+    The key also separates the classes of W_pt(p), which is Z8 + Z2 at
+    p = 2, Z4 for p = 3 mod 4 and Z2 + Z2 for p = 1 mod 4
+    (Davydov-Mueger-Nikshych-Ostrik, arXiv:1009.2117), so two classes
+    are equal exactly when their keys are: class_eq and
+    generated_subgroup rest on this.
     """
     return tuple((p, p_adic_valuation(rep.size, p) % 2, gauss_sum(rep).argument) for p, rep in c.parts)
 
 
 def class_eq(c1: PointedWittClass, c2: PointedWittClass) -> bool:
-    """Equality of Witt classes via isomorphism of anisotropic parts."""
-    if c1.primes != c2.primes:
-        return False
-    return all(metric_iso(r1, r2) is not None for (_, r1), (_, r2) in zip(c1.parts, c2.parts))
+    """Equality of Witt classes: equality of their class_key."""
+    return class_key(c1) == class_key(c2)
 
 
 def class_multiply(c1: PointedWittClass, c2: PointedWittClass) -> PointedWittClass:
@@ -281,35 +282,31 @@ class WittSubgroup:
 def generated_subgroup(generators) -> WittSubgroup:
     """Closure of the generators under class multiplication.
 
-    Equality inside the closure is decided by class_eq, so two different
-    presentations of one class occupy one slot.  The classes admitted so
-    far are indexed by class_key, a Witt invariant, so a new class is
-    compared by class_eq only with those of its key; the index found is
-    the one a scan of every earlier class would find.  Every ordered
-    pair (i, j) gets its product's index recorded once, later passes
-    skip it, and the table is read from the record.  Only one pair of each
-    unordered pair of non-identity classes is multiplied: a product with
-    the identity (index 0) is i + j, and since the Witt group is abelian
-    the mirror (j, i) of a recorded pair has its index, the slot admit
-    would find again.  So a closure of order n costs (n - 1) * n / 2
-    class_multiply calls, and what is admitted, and when, is as if every
-    pair were multiplied.  Raises CapExceededError when the closure
-    grows past the closure cap.
+    The classes admitted so far are indexed by class_key, and a new class
+    takes the slot of its key, so two different presentations of one
+    class occupy one slot: the slot a scan of every earlier class by
+    class_eq would find.  Every ordered pair (i, j) gets its product's
+    index recorded once, later passes skip it, and the table is read
+    from the record.  Only one pair of each unordered pair of non-identity
+    classes is multiplied: a product with the identity (index 0) is
+    i + j, and since the Witt group is abelian the mirror (j, i) of a
+    recorded pair has its index, the slot admit would find again.  So a
+    closure of order n costs (n - 1) * n / 2 class_multiply calls, and
+    what is admitted, and when, is as if every pair were multiplied.
+    Raises CapExceededError when the closure grows past the closure cap.
     """
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
-    by_key: dict[tuple, list[int]] = {class_key(IDENTITY_CLASS): [0]}
+    by_key: dict[tuple, int] = {class_key(IDENTITY_CLASS): 0}
     products: dict[tuple[int, int], int] = {}
 
     def admit(c: PointedWittClass) -> int:
         """The index of c's class, appended to elements if it is new."""
-        same_key = by_key.setdefault(class_key(c), [])
-        for i in same_key:
-            if class_eq(elements[i], c):
-                return i
-        elements.append(c)
-        CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes")
-        same_key.append(len(elements) - 1)
-        return len(elements) - 1
+        key = class_key(c)
+        if key not in by_key:
+            elements.append(c)
+            CLOSURE_CAP.check(len(elements), f"closure of {len(elements)} classes")
+            by_key[key] = len(elements) - 1
+        return by_key[key]
 
     for g in generators:
         admit(g)

@@ -9,8 +9,8 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bilinear, element_order, group_add, load_metric
-from fusionwitt import cli, corpus, metric_group as metric_group_module, witt
+from conftest import bilinear, direct_sum_by_rebase, element_order, group_add, load_metric
+from fusionwitt import cli, corpus, metric_group as metric_group_module, snf, witt
 from fusionwitt.arith import factorize
 from fusionwitt.caps import ELEMENT_CAP
 from fusionwitt.errors import CapExceededError, ValidationError
@@ -216,8 +216,14 @@ def test_gauss_sum_multiplicative_over_direct_sum(semion, z3_third):
 # ----------------------------------------------- direct sums and sylow parts
 
 
-def test_direct_sum_rebases_to_invariant_factors(semion, z3_third):
+def test_direct_sum_rebases_to_invariant_factors(monkeypatch, semion, z3_third):
+    calls = []
+    smith_normal_form = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda mat: calls.append(mat) or smith_normal_form(mat))
     total = direct_sum(semion, z3_third)
+    # the orders 2, 3 are no divisor chain, so the sum is rebased
+    assert calls == [[[2, 0], [0, 3]]]
+    assert total == direct_sum_by_rebase(semion, z3_third)
     assert total.orders == (6,)
     assert total.size == 6
     # the order-6 generator is e1 + b e2 with b coprime to 3, and both
@@ -408,6 +414,67 @@ def test_a_direct_sums_gauss_sum_is_its_enumerated_sum(pieces, nest_right):
     assert total.summands is not None and plain.summands is None
     assert plain == total
     assert gauss_sum(total) == gauss_sum(plain)
+
+
+def hyperbolic(p: int, k: int) -> MetricGroup:
+    """H_k on Z_{p^k}^2, q(x, y) = xy / p^k; at p = 2 this is U_k."""
+    d = p**k
+    return metric_group((d, d), (0, 0), {(0, 1): F(1, d)})
+
+
+@st.composite
+def same_prime_pairs(draw):
+    """Two forms on p-groups for one p in 2, 3, 5, 7, each of order at
+    most 256 and possibly degenerate: U_k and V_k at p = 2, H_k at odd p,
+    or random values with cross terms on one to three cyclic groups,
+    each order dividing the next.  The cyclic orders start at p or p^2,
+    so that equal orders, which the pivot order does not keep in place,
+    are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def piece():
+        kind = draw(st.sampled_from(("values", "U", "V") if p == 2 else ("values", "H")))
+        if kind != "values":
+            # the plane on Z_{p^k}^2 has order p^(2k) <= 256
+            k = draw(st.integers(1, 4 if p == 2 else 2 if p == 3 else 1))
+            return plane(k, kind == "V") if p == 2 else hyperbolic(p, k)
+        orders = [p ** draw(st.integers(1, 2))]
+        for _ in range(draw(st.integers(0, 2))):
+            d = orders[-1] * p ** draw(st.integers(0, 1))
+            if prod(orders) * d > 256:
+                break
+            orders.append(d)
+        diag = [F(draw(st.integers(0, 2 * d - 1)), 2 * d) if p == 2 else F(draw(st.integers(0, d - 1)), d)
+                for d in orders]
+        # orders[i] divides orders[j], so it is their gcd
+        cross = {(i, j): F(draw(st.integers(0, orders[i] - 1)), orders[i])
+                 for i in range(len(orders)) for j in range(i + 1, len(orders))}
+        return metric_group(orders, diag, cross)
+
+    return piece(), piece()
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_prime_pairs())
+def test_a_same_prime_direct_sum_is_the_rebased_block_form(pair):
+    # the permuted block form against the Smith rebase of the block group
+    a, b = pair
+    new, old = direct_sum(a, b), direct_sum_by_rebase(a, b)
+    assert (new.orders, new.level, new.gram, new.nondegenerate) == (old.orders, old.level, old.gram, old.nondegenerate)
+    assert new.summands == (a, b)
+
+
+def test_a_same_prime_direct_sum_makes_no_smith_form(monkeypatch, semion):
+    # the orders (4, 4) + (2,) are taken as entries 2, 1, 0, the order the
+    # elimination pivots in, not the stable sort's 2, 0, 1
+    a = metric_group((4, 4), (F(1, 8), F(3, 8)), {(0, 1): F(1, 4)})
+    rebased = direct_sum_by_rebase(a, semion)
+    calls = []
+    monkeypatch.setattr(snf, "smith_normal_form", calls.append)
+    total = direct_sum(a, semion)
+    assert calls == []
+    assert total == rebased
+    assert (total.orders, total.gram) == ((2, 4, 4), ((4, 0, 0), (0, 6, 2), (0, 2, 2)))
 
 
 # ------------------------------- integer constructors against the Fraction path

@@ -3,11 +3,13 @@
 For each prime p, A ↦ (v_p(|A_p|) mod 2, Gauss argument of A_p) is a
 homomorphism on W_pt(p) that separates its classes: W_pt(2) is Z8 ⊕ Z2,
 and W_pt(p) is Z4 for p ≡ 3 mod 4 and Z2 ⊕ Z2 for p ≡ 1 mod 4
-(Drinfeld–Gelaki–Nikshych–Ostrik, arXiv:1009.2117).  These tests pin
-that the package's class_key agrees with the isomorphism search of
-class_eq and with the products of generated_subgroup, so equality and
-orders can be read off the key, and that the relation 2[Ising] =
-[Z4, x^2/8] of the Ising words holds on the keys.
+(Davydov–Müger–Nikshych–Ostrik, arXiv:1009.2117).  class_eq is key
+equality and rests on that separation.  These tests pin that the
+package's class_key agrees with metric_iso, the isomorphism search on
+the anisotropic representatives, and with the products of
+generated_subgroup, so equality and orders can be read off the key, and
+that the relation 2[Ising] = [Z4, x^2/8] of the Ising words holds on
+the keys.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import load_metric
+from conftest import iso_eq, load_metric
 from fusionwitt.metric_group import metric_group
 from fusionwitt.witt import IDENTITY_CLASS, class_eq, class_key, class_multiply, generated_subgroup, pointed_witt_class
 from witt_words import WittWord, ising_square, word_is_identity
@@ -43,18 +45,21 @@ def key_sum(k1, k2) -> dict[int, tuple[int, Fraction]]:
     return out
 
 
-# by prime p: corpus forms whose classes generate all of W_pt(p), and
-# the order and invariant factors of W_pt(p)
+# by prime p: forms whose classes generate all of W_pt(p), and the order
+# and invariant factors of W_pt(p); 7 and 13 are the witt_closure pool's
+# other primes, on Z_p with q = x^2/p and q = n x^2/p for a non-square n
 GENERATORS = {
-    2: (("semion.mg", "z4_eighth.mg", "z8_sixteenth.mg"), 16, (2, 8)),
-    3: (("z3_third.mg", "z3_two_thirds.mg"), 4, (4,)),
-    5: (("z5_fifth.mg", "z5_two_fifths.mg"), 4, (2, 2)),
+    2: (tuple(map(load_metric, ("semion.mg", "z4_eighth.mg", "z8_sixteenth.mg"))), 16, (2, 8)),
+    3: (tuple(map(load_metric, ("z3_third.mg", "z3_two_thirds.mg"))), 4, (4,)),
+    5: (tuple(map(load_metric, ("z5_fifth.mg", "z5_two_fifths.mg"))), 4, (2, 2)),
+    7: ((metric_group([7], [F(1, 7)]), metric_group([7], [F(3, 7)])), 4, (4,)),
+    13: ((metric_group([13], [F(1, 13)]), metric_group([13], [F(2, 13)])), 4, (2, 2)),
 }
 
 
 @cache
 def whole_group(p: int):
-    return generated_subgroup([pointed_witt_class(load_metric(name)) for name in GENERATORS[p][0]])
+    return generated_subgroup([pointed_witt_class(mg) for mg in GENERATORS[p][0]])
 
 
 @pytest.mark.parametrize("p", sorted(GENERATORS))
@@ -103,13 +108,13 @@ same_prime_pairs = st.sampled_from(sorted(GENERATORS)).flatmap(
 @given(same_prime_pairs)
 def test_key_equality_agrees_with_class_eq(case):
     # a is compared with b and with every class of W_pt(p), exactly one of
-    # which it equals
+    # which it equals; the isomorphism search is the oracle
     p, a, b = case
     a, b = pointed_witt_class(a), pointed_witt_class(b)
     classes = whole_group(p).elements
-    assert sum(class_eq(a, c) for c in classes) == 1
+    assert sum(iso_eq(a, c) for c in classes) == 1
     for c in (b, *classes):
-        assert (witt_key(a) == witt_key(c)) == class_eq(a, c)
+        assert (witt_key(a) == witt_key(c)) == iso_eq(a, c) == class_eq(a, c)
 
 
 def test_ising_relation_holds_on_the_keys():

@@ -77,15 +77,12 @@ def witt_subgroup_smith_work(monkeypatch, names) -> dict[str, int]:
     """Run witt-subgroup on corpus forms and count its Smith forms:
 
     * smith_normal_form: calls;
-    * smith_eliminations: calls that eliminate, each ending in one
-      _verify; a diagonal input whose entries permute into a divisor
-      chain takes none;
-    * direct_sum_eliminations: those made inside class_multiply's
-      direct sums.
+    * direct_sum_smith_forms: smith_normal_form calls made inside
+      class_multiply's direct sums.
     """
     for cap in (ELEMENT_CAP, CLOSURE_CAP):
         monkeypatch.delenv(cap.env, raising=False)
-    counts = dict.fromkeys(("smith_normal_form", "smith_eliminations", "direct_sum_eliminations"), 0)
+    counts = dict.fromkeys(("smith_normal_form", "direct_sum_smith_forms"), 0)
     depth = []
     direct_sum = witt.direct_sum
 
@@ -96,13 +93,12 @@ def witt_subgroup_smith_work(monkeypatch, names) -> dict[str, int]:
         finally:
             depth.pop()
 
-    def eliminated(*_):
-        counts["smith_eliminations"] += 1
-        counts["direct_sum_eliminations"] += bool(depth)
+    def smith_form(*_):
+        counts["smith_normal_form"] += 1
+        counts["direct_sum_smith_forms"] += bool(depth)
 
     monkeypatch.setattr(witt, "direct_sum", tracked)
-    spy(monkeypatch, snf, "smith_normal_form", tally(counts, "smith_normal_form"))
-    spy(monkeypatch, snf, "_verify", eliminated)
+    spy(monkeypatch, snf, "smith_normal_form", smith_form)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["witt-subgroup", "--format", "machine", *map(corpus.path, names)]) == 0
     assert "subgroup_order=" in out.getvalue()
@@ -144,19 +140,16 @@ CORPUS_2_GROUPS = ("semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_fermion.m
 CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
 
 # A closure of order n from g generators makes (n - 1) n / 2 products
-# and admits g + (n - 1) n / 2 classes.  An admission runs class_eq only
-# against earlier classes with its Gauss key, which separates classes, so
-# class_eq runs once per admission that finds its class: 7 + 120 - 15 =
-# 112 times on the 2-groups and 3 + 6 - 3 = 6 on the 3-groups, and
-# metric_iso once per part of those, none on the identity.  No direct
-# sum's Gauss sum is enumerated; the sums that are, one cyclotomic
-# product each, are the generators' and those of reduce_once's quotients.
+# and admits g + (n - 1) n / 2 classes.  An admission looks its class up
+# by class_key, which separates classes, so neither class_eq nor
+# metric_iso is ever called.  No direct sum's Gauss sum is enumerated;
+# the sums that are, one cyclotomic product each, are the generators'
+# and those of reduce_once's quotients.
 #
-# Each direct sum takes one Smith form, of its diagonal relations: the
-# summands' orders, powers of one prime, which permute into a divisor
-# chain and so are not eliminated.  Each reduce_once takes three, two
-# kernels and a rebase, and all of them are eliminated: 120 direct sums
-# and 142 reductions on the 2-groups, 6 and 6 on the 3-groups.
+# A direct sum of two p-groups takes no Smith form: the summands' orders
+# permute into a divisor chain, and the sum is the block form with its
+# generators permuted.  Each reduce_once takes three, two kernels and a
+# rebase: 142 reductions on the 2-groups, 6 on the 3-groups.
 #
 # class_order multiplies c into its power until the power is the
 # identity, so a class of order n takes n - 1 class_multiply calls.  The
@@ -165,15 +158,15 @@ CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
 # through to its last element.
 ROWS = [
     ("witt-subgroup 2-groups", witt_subgroup_work, CORPUS_2_GROUPS,
-     {"direct_sum_gauss_enumerated": 0, "class_multiply": 120, "class_eq": 112, "metric_iso": 102,
+     {"direct_sum_gauss_enumerated": 0, "class_multiply": 120, "class_eq": 0, "metric_iso": 0,
       "cyclotomic_products": 149}),
     ("witt-subgroup 3-groups", witt_subgroup_work, CORPUS_3_GROUPS,
-     {"direct_sum_gauss_enumerated": 0, "class_multiply": 6, "class_eq": 6, "metric_iso": 3,
+     {"direct_sum_gauss_enumerated": 0, "class_multiply": 6, "class_eq": 0, "metric_iso": 0,
       "cyclotomic_products": 9}),
     ("witt-subgroup 2-groups smith", witt_subgroup_smith_work, CORPUS_2_GROUPS,
-     {"smith_normal_form": 546, "smith_eliminations": 426, "direct_sum_eliminations": 0}),
+     {"smith_normal_form": 426, "direct_sum_smith_forms": 0}),
     ("witt-subgroup 3-groups smith", witt_subgroup_smith_work, CORPUS_3_GROUPS,
-     {"smith_normal_form": 24, "smith_eliminations": 18, "direct_sum_eliminations": 0}),
+     {"smith_normal_form": 18, "direct_sum_smith_forms": 0}),
     ("witt-order semion", witt_order_work, ("semion.mg",), {"class_multiply": 7, "isotropic_elements_visited": 65}),
     ("witt-order z3_third", witt_order_work, ("z3_third.mg",), {"class_multiply": 3, "isotropic_elements_visited": 35}),
 ]
