@@ -130,11 +130,9 @@ def p_adic_valuation(n: int, p: int) -> int:
 def invariants_from_element_orders(orders: list[int]) -> tuple[int, ...]:
     """Invariant factors of a finite abelian group from its element orders.
 
-    The multiset of element orders determines the group: for each prime p,
-    the counts #{x : p**j x = 0} determine the multiset of cyclic p-power
-    summands (conjugate partition of the count increments), and matching
-    the per-prime exponent lists largest-to-largest rebuilds the chain
-    d_1 | d_2 | ... | d_k.
+    For each prime p, #{x : ord(x) | p**j} grows by the factor p**t_j
+    from j - 1 to j, where t_j counts the invariant factors that p**j
+    divides, so p goes into the t_j largest factors.
 
     >>> invariants_from_element_orders([1, 2, 2, 2, 4, 4, 4, 4])
     (2, 4)
@@ -143,39 +141,17 @@ def invariants_from_element_orders(orders: list[int]) -> tuple[int, ...]:
     >>> invariants_from_element_orders([1])
     ()
     """
-    size = len(orders)
-    if size == 0:
+    if not orders:
         raise ValueError("empty order list")
-    if size == 1:
-        return ()
-    per_prime: dict[int, list[int]] = {}
-    for p in factorize(size):
-        # killed[j] = #{x : order(x) divides p**j}; the increments of
-        # log_p(killed) count cyclic p-summands of order >= p**j.
-        sylow = sum(1 for o in orders if set(factorize(o)) <= {p})
-        killed = []
-        j = 0
-        while True:
-            pj = p**j
-            killed.append(sum(1 for o in orders if pj % o == 0))
-            if killed[-1] == sylow:
-                break
-            j += 1
-        logs = [p_adic_valuation(k, p) for k in killed]
-        heights = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
-        exps: list[int] = []
-        for j in range(len(heights), 0, -1):
-            while len(exps) < heights[j - 1]:
-                exps.append(j)
-        per_prime[p] = sorted(exps, reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, exps in per_prime.items():
-            if i < len(exps):
-                f *= p ** exps[i]
-        factors.append(f)
+    factors: list[int] = []
+    for p in factorize(len(orders)):
+        killed, pj = 1, p
+        while (count := sum(1 for o in orders if pj % o == 0)) > killed:
+            t = p_adic_valuation(count // killed, p)
+            factors += [1] * (t - len(factors))
+            for i in range(t):
+                factors[i] *= p
+            killed, pj = count, pj * p
     return tuple(sorted(factors))
 
 

@@ -60,11 +60,11 @@ def parse_ring_file(path: str, lines=None) -> fusion_ring.FusionRing:
     """Read a fusion ring file, or its lines if _read_lines has already
     read them; structural validation is separate.
 
-    Format: 'rank r', 'labels l0 ... l{r-1}', 'dual p0 ... p{r-1}'
-    (a 0-based permutation), then one 'N i j k m' line per nonzero
-    coefficient; omitted triples are zero, '#' starts a comment.  The
-    rank is checked against the rank cap before the labels are read
-    and the dense r x r x r table is built.
+    Format: 'rank r', 'labels l0 ... l{r-1}' (distinct names),
+    'dual p0 ... p{r-1}' (a 0-based permutation), then one 'N i j k m'
+    line per nonzero coefficient; omitted triples are zero, '#' starts
+    a comment.  The rank is checked against the rank cap before the
+    labels are read and the dense r x r x r table is built.
     """
     lines = _read_lines(path) if lines is None else lines
     if len(lines) < 3:
@@ -81,6 +81,9 @@ def parse_ring_file(path: str, lines=None) -> fusion_ring.FusionRing:
     if parts[:1] != ["labels"] or len(parts) != rank + 1:
         raise FileFormatError(f"{path}:{ln_lab}: expected 'labels' with {rank} names")
     labels = parts[1:]
+    repeated = next((name for t, name in enumerate(labels) if name in labels[:t]), None)
+    if repeated is not None:
+        raise FileFormatError(f"{path}:{ln_lab}: label {repeated!r} is repeated")
     parts = dual_line.split()
     if parts[:1] != ["dual"] or len(parts) != rank + 1:
         raise FileFormatError(f"{path}:{ln_dual}: expected 'dual' with {rank} indices")
@@ -417,13 +420,13 @@ def _cmd_witt_class(args) -> Report:
     for p, part in parts:
         rep, steps = witt.reduce_sylow_part(p, part)
         argument = metric_group.gauss_sum(part).argument
-        # each step records the argument of the group it produced, so the last is rep's
-        rep_argument = steps[-1].argument if steps else argument
+        # reduce_once computed and checked each step's sum, so rep's is read back
+        rep_argument = metric_group.gauss_sum(rep).argument
         report.section(f"prime {p}", [f"part orders ({fmt_value(part.orders)}), argument {argument}"],
                        **{f"part_{p}_orders": part.orders, f"part_{p}_steps": len(steps)})
         for s in steps:
             report.line(f"reduce by {s.chosen}: ({fmt_value(s.orders_before)})"
-                        f" -> ({fmt_value(s.orders_after)}), argument {s.argument}")
+                        f" -> ({fmt_value(s.orders_after)}), argument {argument}")
         if rep.size > 1:
             final_parts.append((p, rep))
         q, b = _form_values(rep)

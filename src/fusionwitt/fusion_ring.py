@@ -266,33 +266,25 @@ class GradingData:
 
 
 def universal_grading(ring: FusionRing) -> GradingData:
-    """Partition the basis by X ~ Y iff X Y* meets the adjoint subring,
-    and read off the group structure on the blocks.
-
-    Well-definedness of the block product is re-checked over every pair
-    of representatives; a failure raises ConsistencyError.
+    """Components of the basis: the cosets X A of the adjoint subring A
+    (Gelaki-Nikshych, arXiv:math/0610726), one for each X in index order
+    that no earlier coset holds, with the group law on them.  A coset
+    that meets an earlier one, a pair X, Y in different cosets with X Y*
+    meeting A, or a block product that is no abelian group raises
+    ConsistencyError.
     """
     ad = set(adjoint_subring(ring))
     r = ring.rank
-    parent = list(range(r))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x, y in product(range(r), repeat=2):
-        if any(k in ad for k in ring.constituents(x, ring.dual[y])):
-            parent[find(x)] = find(y)
-
-    roots = sorted({find(i) for i in range(r)}, key=lambda root: min(i for i in range(r) if find(i) == root))
-    components = tuple(tuple(i for i in range(r) if find(i) == root) for root in roots)
-    block_of = {}
-    for b, comp in enumerate(components):
-        for i in comp:
-            block_of[i] = b
-    # relation consistency: every related pair must have landed together
+    block_of: dict[int, int] = {}
+    components: list[tuple[int, ...]] = []
+    for x in range(r):
+        if x not in block_of:
+            coset = tuple(sorted({k for a in ad for k in ring.constituents(x, a)}))
+            if any(k in block_of for k in coset):
+                raise ConsistencyError(f"coset of basis {x} meets an earlier component")
+            block_of.update(dict.fromkeys(coset, len(components)))
+            components.append(coset)
+    # relation consistency: X Y* meets A exactly when X, Y share a coset
     for x, y in product(range(r), repeat=2):
         related = any(k in ad for k in ring.constituents(x, ring.dual[y]))
         if related != (block_of[x] == block_of[y]):
@@ -319,7 +311,7 @@ def universal_grading(ring: FusionRing) -> GradingData:
     if any(table[neutral][b] != b for b in range(len(components))):
         raise ConsistencyError("neutral block does not act as identity")
     return GradingData(
-        components=components,
+        components=tuple(components),
         neutral=neutral,
         table=tuple(tuple(row) for row in table),
         group_name=group_name(cayley_invariants(table, neutral)),

@@ -90,7 +90,6 @@ class ReductionStep:
     orders_before: tuple[int, ...]
     chosen: tuple[int, ...]
     orders_after: tuple[int, ...]
-    argument: Fraction
 
 
 def anisotropic_reduction(mg: MetricGroup) -> tuple[MetricGroup, tuple[ReductionStep, ...]]:
@@ -113,7 +112,6 @@ def anisotropic_reduction(mg: MetricGroup) -> tuple[MetricGroup, tuple[Reduction
                 orders_before=current.orders,
                 chosen=x,
                 orders_after=reduced.orders,
-                argument=gauss_sum(reduced).argument,
             )
         )
         current = reduced
@@ -282,18 +280,13 @@ class WittSubgroup:
 def generated_subgroup(generators) -> WittSubgroup:
     """Closure of the generators under class multiplication.
 
-    The classes admitted so far are indexed by class_key, and a new class
-    takes the slot of its key, so two different presentations of one
-    class occupy one slot: the slot a scan of every earlier class by
-    class_eq would find.  Every ordered pair (i, j) gets its product's
-    index recorded once, later passes skip it, and the table is read
-    from the record.  Only one pair of each unordered pair of non-identity
-    classes is multiplied: a product with the identity (index 0) is
-    i + j, and since the Witt group is abelian the mirror (j, i) of a
-    recorded pair has its index, the slot admit would find again.  So a
-    closure of order n costs (n - 1) * n / 2 class_multiply calls, and
-    what is admitted, and when, is as if every pair were multiplied.
-    Raises CapExceededError when the closure grows past the closure cap.
+    A new class takes the slot of its class_key, so two presentations of
+    one class share a slot.  Each unordered pair of non-identity slots is
+    multiplied once, its product recorded under (min, max), since the
+    Witt group is abelian; a product with the identity, slot 0, is the
+    other slot.  A closure of order n thus costs (n - 1) n / 2
+    class_multiply calls.  Raises CapExceededError when the closure grows
+    past the closure cap.
     """
     elements: list[PointedWittClass] = [IDENTITY_CLASS]
     by_key: dict[tuple, int] = {class_key(IDENTITY_CLASS): 0}
@@ -313,19 +306,12 @@ def generated_subgroup(generators) -> WittSubgroup:
     changed = True
     while changed:
         changed = False
-        for i in range(len(elements)):
-            for j in range(len(elements)):
-                if (i, j) in products:
-                    continue
-                if not i or not j:
-                    products[i, j] = i + j
-                elif (j, i) in products:
-                    products[i, j] = products[j, i]
-                else:
+        for i in range(1, len(elements)):
+            for j in range(i, len(elements)):
+                if (i, j) not in products:
                     before = len(elements)
                     products[i, j] = admit(class_multiply(elements[i], elements[j]))
                     changed |= len(elements) > before
     n = len(elements)
-    table = tuple(tuple(products[i, j] for j in range(n)) for i in range(n))
+    table = tuple(tuple(products[min(i, j), max(i, j)] if i and j else i + j for j in range(n)) for i in range(n))
     return WittSubgroup(elements=tuple(elements), table=table, invariant_factors=cayley_invariants(table, 0))
-

@@ -9,7 +9,7 @@ import pytest
 from fusionwitt import cli, corpus
 from fusionwitt.arith import factorize
 from fusionwitt.errors import ConsistencyError, ValidationError, Violation
-from fusionwitt.fusion_ring import FusionRing, validate_ring
+from fusionwitt.fusion_ring import FusionRing, adjoint_subring, validate_ring
 from fusionwitt.metric_group import MetricGroup, _metric_from_generators, metric_group
 from fusionwitt.witt import isotropic_elements, metric_iso, reduce_once
 
@@ -144,6 +144,33 @@ def validate_ring_oracle(ring: FusionRing) -> list[Violation]:
         if left != right:
             out.append(Violation("associativity", (i, j, k, l), f"(X{i} X{j}) X{k} vs X{i} (X{j} X{k}) differ at X{l}"))
     return out
+
+
+def grading_components_oracle(ring: FusionRing):
+    """(components, neutral, table) of the universal grading of a valid
+    ring by the union-find fusion_ring.universal_grading ran before it
+    built the cosets of the adjoint subring: X, Y joined whenever X Y*
+    meets the adjoint subring, components in order of their least index,
+    and the table read off each block's first member."""
+    ad = set(adjoint_subring(ring))
+    r = ring.rank
+    parent = list(range(r))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x, y in product(range(r), repeat=2):
+        if any(k in ad for k in ring.constituents(x, ring.dual[y])):
+            parent[find(x)] = find(y)
+
+    roots = sorted({find(i) for i in range(r)}, key=lambda root: min(i for i in range(r) if find(i) == root))
+    components = tuple(tuple(i for i in range(r) if find(i) == root) for root in roots)
+    block_of = {i: b for b, comp in enumerate(components) for i in comp}
+    table = tuple(tuple(block_of[ring.constituents(a[0], b[0])[0]] for b in components) for a in components)
+    return components, block_of[0], table
 
 
 def direct_sum_by_rebase(a: MetricGroup, b: MetricGroup) -> MetricGroup:

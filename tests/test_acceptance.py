@@ -111,8 +111,10 @@ def test_gauss_sum_invariants():
         assert gs.magnitude_squared == mg.size
         assert gs.argument is not None and (8 * gs.argument) % 1 == 0
         rep, steps = witt.anisotropic_reduction(mg)
+        current = mg
         for step in steps:
-            assert step.argument == gs.argument
+            current = witt.reduce_once(current, step.chosen)
+            assert gauss_sum(current).argument == gs.argument
         final = gauss_sum(rep)
         assert final.argument == gs.argument
         assert final.magnitude_squared == rep.size

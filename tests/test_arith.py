@@ -1,4 +1,4 @@
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from conftest import factorize_oracle, is_prime, is_square_free, smallest_factor_sieve_oracle
@@ -151,6 +151,34 @@ INVARIANTS = [(), (2,), (3,), (2, 2), (2, 4), (6,), (2, 6), (12,), (2, 2, 2), (3
 def test_invariants_round_trip(invariants):
     orders = order_multiset(invariants) if invariants else [1]
     assert invariants_from_element_orders(orders) == tuple(invariants)
+
+
+@st.composite
+def invariant_chains(draw):
+    """Invariant factors d_1 | ... | d_k of an abelian group of order at
+    most 512 with two or three prime divisors, ascending."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=3, unique=True))
+    exponents = {p: [1] for p in primes}
+    size = prod(primes)
+    for p in draw(st.lists(st.sampled_from(primes), max_size=10)):
+        if size * p <= 512:
+            # raise one summand's exponent or add a summand of order p
+            i = draw(st.integers(0, len(exponents[p])))
+            if i < len(exponents[p]):
+                exponents[p][i] += 1
+            else:
+                exponents[p].append(1)
+            size *= p
+    chains = {p: sorted(es, reverse=True) for p, es in exponents.items()}
+    width = max(map(len, chains.values()))
+    return tuple(sorted(prod(p**es[i] for p, es in chains.items() if i < len(es)) for i in range(width)))
+
+
+@given(invariant_chains(), st.randoms(use_true_random=False))
+def test_invariants_round_trip_on_random_chains(invariants, rng):
+    orders = order_multiset(invariants)
+    rng.shuffle(orders)
+    assert invariants_from_element_orders(orders) == invariants
 
 
 @pytest.mark.parametrize("invariants", INVARIANTS)

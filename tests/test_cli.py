@@ -108,6 +108,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
         ("labels a\ndual 0\n", "expected rank"),
         ("rank 0\nlabels\ndual\n", "at least 1"),
         ("rank 2\nlabels a\ndual 0 1\n", "2 names"),
+        ("rank 2\nlabels a a\ndual 0 1\n", "label 'a' is repeated"),
         ("rank 2\nlabels a b\ndual 0\n", "2 indices"),
         ("rank 2\nlabels a b\ndual 0 x\n", "integers"),
         ("rank 2\nlabels a b\ndual 0 5\n", "out of range"),
@@ -121,6 +122,16 @@ def test_ring_syntax_errors(tmp_path, text, fragment):
     with pytest.raises(FileFormatError) as err:
         parse_ring_file(path)
     assert fragment in str(err.value)
+
+
+def test_repeated_label_exits_2_with_its_line(tmp_path, capsys):
+    # before the check, validate accepted the file and analyze printed
+    # reports that could not tell the two simples apart
+    path = write(tmp_path, "twins.fr", "# Z2 with both simples named a\nrank 2\nlabels a a\ndual 0 1\n"
+                 "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n")
+    for verb in ("validate", "analyze"):
+        assert main([verb, path]) == 2
+        assert capsys.readouterr().err == f"{path}:3: label 'a' is repeated\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,17 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_ring, load_ring, make_ring, mutate, permuted, pointed_ring, tensor_ring, validate_ring_oracle
+from conftest import (
+    as_ring,
+    grading_components_oracle,
+    load_ring,
+    make_ring,
+    mutate,
+    permuted,
+    pointed_ring,
+    tensor_ring,
+    validate_ring_oracle,
+)
 from fusionwitt import cli, corpus, fusion_ring
 from fusionwitt.errors import ConsistencyError, ValidationError
 from fusionwitt.fusion_ring import (
@@ -422,6 +432,31 @@ def test_grading_of_rep_s3_is_trivial(rep_s3_ring):
 
 def test_grading_of_fibonacci_is_trivial(fibonacci_ring):
     assert universal_grading(fibonacci_ring).group_name == "trivial"
+
+
+GRADING_FACTORS = CORPUS_RINGS + [pointed_ring(orders) for orders in ((2,), (3,), (4,), (2, 2), (6,))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRADING_FACTORS), st.sampled_from(GRADING_FACTORS), st.data())
+def test_grading_matches_the_union_find_oracle(a, b, data):
+    ring = tensor_ring(a, b)
+    ring = permuted(ring, [0] + data.draw(st.permutations(range(1, ring.rank))))
+    grading = universal_grading(ring)
+    assert (grading.components, grading.neutral, grading.table) == grading_components_oracle(ring)
+
+
+def test_grading_refuses_a_coset_that_meets_an_earlier_one():
+    # X1 X1 = 1 + X1 and X2 X2 = 1 make the adjoint subring {1, X1};
+    # X2 X1 = X1 puts X1 in the coset of X2 as well as in the unit's
+    ring = as_ring("abc", (0, 1, 2), [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 1, 0], [0, 1, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    ])
+    assert adjoint_subring(ring) == (0, 1)
+    with pytest.raises(ConsistencyError, match="coset of basis 2 meets an earlier component"):
+        universal_grading(ring)
 
 
 # ----------------------------------------------------------- nilpotency

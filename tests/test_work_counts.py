@@ -12,10 +12,14 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from conftest import pointed_ring
+from test_cli import format_ring_file
 
-from fusionwitt import cli, corpus, snf, witt
+from fusionwitt import cli, corpus, fusion_ring, snf, witt
 from fusionwitt.caps import CLOSURE_CAP, ELEMENT_CAP, ORDER_CAP
 from fusionwitt.cyclotomic import CycInt
 from fusionwitt.metric_group import MetricGroup
@@ -135,6 +139,40 @@ def witt_order_work(monkeypatch, names) -> dict[str, int]:
     return counts
 
 
+def universal_grading_work(monkeypatch, names) -> dict[str, int]:
+    """Run analyze on one ring and count the FusionRing.constituents
+    calls made inside universal_grading, its adjoint subring included.
+    The ring is a corpus name, or a tuple of cyclic orders naming the
+    pointed ring of that group, written to a temporary file."""
+    counts = {"constituents": 0}
+    depth = []
+    grading, constituents = fusion_ring.universal_grading, fusion_ring.FusionRing.constituents
+
+    def tracked(ring):
+        depth.append(None)
+        try:
+            return grading(ring)
+        finally:
+            depth.pop()
+
+    def counting(ring, i, j):
+        counts["constituents"] += bool(depth)
+        return constituents(ring, i, j)
+
+    monkeypatch.setattr(fusion_ring, "universal_grading", tracked)
+    monkeypatch.setattr(fusion_ring.FusionRing, "constituents", counting)
+    (name,) = names
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        if isinstance(name, str):
+            path = corpus.path(name)
+        else:
+            path = Path(tmp, "pointed.fr")
+            path.write_text(format_ring_file(pointed_ring(name)), encoding="utf-8")
+        assert cli.main(["analyze", "--format", "machine", str(path)]) == 0
+    assert "grading_order=" in out.getvalue()
+    return counts
+
+
 CORPUS_2_GROUPS = ("semion.mg", "semion_bar.mg", "z2z2_diag.mg", "z2z2_fermion.mg",
                    "z2z2_hyperbolic.mg", "z4_eighth.mg", "z8_sixteenth.mg")
 CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
@@ -150,6 +188,13 @@ CORPUS_3_GROUPS = ("z3_third.mg", "z3_two_thirds.mg", "hyperbolic3.mg")
 # permute into a divisor chain, and the sum is the block form with its
 # generators permuted.  Each reduce_once takes three, two kernels and a
 # rebase: 142 reductions on the 2-groups, 6 on the 3-groups.
+#
+# universal_grading multiplies each coset's first basis element by every
+# member of the adjoint subring, then reads X Y* for the relation check
+# and X Y for the block table at every pair, r^2 calls each, besides the
+# calls that build the adjoint subring: 44 + 2 * 6 + 64 + 64 on d_s3
+# (rank 8, two cosets of a rank-6 adjoint subring), 13 + 12 + 144 + 144
+# on pointed Z12 (twelve cosets of the unit).
 #
 # class_order multiplies c into its power until the power is the
 # identity, so a class of order n takes n - 1 class_multiply calls.  The
@@ -167,6 +212,8 @@ ROWS = [
      {"smith_normal_form": 426, "direct_sum_smith_forms": 0}),
     ("witt-subgroup 3-groups smith", witt_subgroup_smith_work, CORPUS_3_GROUPS,
      {"smith_normal_form": 18, "direct_sum_smith_forms": 0}),
+    ("universal_grading d_s3", universal_grading_work, ("d_s3.fr",), {"constituents": 184}),
+    ("universal_grading pointed Z12", universal_grading_work, ((12,),), {"constituents": 313}),
     ("witt-order semion", witt_order_work, ("semion.mg",), {"class_multiply": 7, "isotropic_elements_visited": 65}),
     ("witt-order z3_third", witt_order_work, ("z3_third.mg",), {"class_multiply": 3, "isotropic_elements_visited": 35}),
 ]
